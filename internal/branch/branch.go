@@ -203,5 +203,15 @@ func (p *Predictor) FlushRange(start, size uint64) {
 	}
 }
 
+// Reset returns the predictor to the state New gives it: weakly
+// not-taken counters, empty history and BTB, zero stats.
+func (p *Predictor) Reset() {
+	p.Flush()
+	clear(p.btbTS)
+	clear(p.btbMRU)
+	p.btbClock = 0
+	p.Stats = Stats{}
+}
+
 // ResetStats zeroes the counters without touching learned state.
 func (p *Predictor) ResetStats() { p.Stats = Stats{} }

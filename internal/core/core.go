@@ -144,6 +144,9 @@ func measureSuiteWorkersCtx(ctx context.Context, ps []workload.Profile, m *machi
 		wg.Add(1)
 		go func(lane int) {
 			defer wg.Done()
+			// One engine per worker for this suite only: each workload
+			// resets it in place rather than building a machine.
+			var runner sim.Runner
 			for j := range jobs {
 				if tr != nil {
 					tr.Observe("pool.queue.wait", tr.Now().Sub(j.enq))
@@ -159,7 +162,7 @@ func measureSuiteWorkersCtx(ctx context.Context, ps []workload.Profile, m *machi
 				o := opts
 				wspan := suite.ChildLane(lane, "sim", p.Name)
 				o.Obs = wspan
-				out[j.idx] = measureOne(p, m, o)
+				out[j.idx] = measureOne(&runner, p, m, o)
 				wspan.End()
 				if tr != nil {
 					busy.Add(int64(wspan.Duration()))
@@ -190,10 +193,11 @@ feed:
 	return out, nil
 }
 
-// measureOne runs one workload and derives its metric vector, reporting
-// the derivation as a child span of the per-workload span in opts.Obs.
-func measureOne(p workload.Profile, m *machine.Config, opts sim.Options) Measurement {
-	res, err := sim.Run(p, m, opts)
+// measureOne runs one workload on r and derives its metric vector,
+// reporting the derivation as a child span of the per-workload span in
+// opts.Obs.
+func measureOne(r *sim.Runner, p workload.Profile, m *machine.Config, opts sim.Options) Measurement {
+	res, err := r.Run(p, m, opts)
 	if err != nil {
 		return Measurement{Workload: p, Err: err}
 	}

@@ -96,3 +96,46 @@ func (c *countingCache) Put(ps []workload.Profile, m *machine.Config, opts sim.O
 	c.puts++
 	c.stored = ms
 }
+
+// TestMeasureSuiteWorkersMatchRun: each pool worker reuses one sim.Runner,
+// and the results must still equal a fresh sim.Run per workload, with one
+// worker (the whole suite on one Runner) and with four. The suite mixes
+// managed and native code, single-core workloads on a private L3 and
+// 16-core ASP.NET on the shared LLC, and a heap set-up failure.
+func TestMeasureSuiteWorkersMatchRun(t *testing.T) {
+	var ps []workload.Profile
+	ps = append(ps, workload.DotNetCategories()[:2]...)
+	ps = append(ps, workload.AspNetWorkloads()[0])
+	ps = append(ps, workload.SpecWorkloads()[:2]...)
+	oom, _ := workload.ByName(workload.DotNetCategories(), "System.Collections")
+	oom.WorkingSetBytes = 190 << 20
+	ps = append(ps, oom)
+	ps = append(ps, workload.DotNetWorkloads()[:2]...)
+	ps = append(ps, workload.AspNetWorkloads()[1])
+	ps = append(ps, workload.SpecWorkloads()[2])
+	m := machine.CoreI9()
+	opts := sim.Options{Instructions: 1500, MaxHeapBytes: 200 << 20}
+
+	want := make([]*sim.Result, len(ps))
+	errs := make([]error, len(ps))
+	failed := 0
+	for i, p := range ps {
+		want[i], errs[i] = sim.Run(p, m, opts)
+		if errs[i] != nil {
+			failed++
+		}
+	}
+	if failed == 0 || failed == len(ps) {
+		t.Fatalf("%d of %d workloads failed; the suite needs both outcomes", failed, len(ps))
+	}
+	for _, workers := range []int{1, 4} {
+		for i, got := range MeasureSuiteWorkers(ps, m, opts, workers) {
+			if (got.Err == nil) != (errs[i] == nil) {
+				t.Fatalf("workers=%d %s: error %v, sim.Run error %v", workers, ps[i].Name, got.Err, errs[i])
+			}
+			if !reflect.DeepEqual(got.Result, want[i]) {
+				t.Fatalf("workers=%d %s: result differs from sim.Run", workers, ps[i].Name)
+			}
+		}
+	}
+}

@@ -33,10 +33,11 @@ func MeasureRepeated(p workload.Profile, m *machine.Config, opts sim.Options, ru
 		return nil, fmt.Errorf("core: repeated measurement needs >= 2 runs, got %d", runs)
 	}
 	vectors := make([]metrics.Vector, 0, runs)
+	var runner sim.Runner
 	for i := 0; i <= runs; i++ {
 		o := opts
 		o.SeedSalt = opts.SeedSalt + uint64(i)*0x9e3779b9
-		res, err := sim.Run(p, m, o)
+		res, err := runner.Run(p, m, o)
 		if err != nil {
 			return nil, fmt.Errorf("core: repeated run %d of %s: %w", i, p.Name, err)
 		}

@@ -140,6 +140,12 @@ func (c *Controller) Access(addr uint64, write bool) int {
 	}
 }
 
+// Reset closes every row and clears the counters: the state New gives.
+func (c *Controller) Reset() {
+	clear(c.openRow)
+	c.Stats = Stats{}
+}
+
 // ResetStats clears counters, keeping open-row state (warm controller).
 func (c *Controller) ResetStats() { c.Stats = Stats{} }
 

@@ -30,6 +30,13 @@ const (
 // bitmap is needed. Line ids are at most 2^58 for 64-bit addresses and
 // 64-byte lines, so the shift cannot lose bits. A per-set MRU way index
 // short-circuits the scan on the common repeat-hit pattern.
+//
+// Each set's MRU way shares a word with the set's generation stamp, so a
+// cache can be emptied in O(1) (Reset) and a prewarm batch on an empty
+// cache can be recorded rather than swept: a set from an older generation
+// is stale, and is emptied and handed its share of the recorded batch the
+// first time anything touches it. A run then pays only for the sets it
+// uses.
 type Cache struct {
 	name     string
 	sets     int
@@ -39,9 +46,15 @@ type Cache struct {
 	setMask  uint64
 	policy   ReplacementPolicy
 
-	tags  []uint64 // sets*ways, packed (line<<1)|1; 0 = empty
-	ts    []uint64 // LRU timestamps
-	mru   []int32  // per-set most-recently-touched way
+	tags []uint64 // sets*ways, packed (line<<1)|1; 0 = empty
+	ts   []uint64 // LRU timestamps
+	// stamp[set] is gen<<stampGenShift | MRU way. A set stamped below
+	// live belongs to an earlier generation and is stale.
+	stamp []uint32
+	live  uint32 // current generation << stampGenShift
+	// batch is the prewarm batch recorded on the current generation's
+	// empty cache; stale sets replay their share of it when materialized.
+	batch []insertJob
 	clock uint64
 	rseed uint64 // cheap xorshift state for Random policy
 
@@ -50,10 +63,19 @@ type Cache struct {
 
 // CacheStats counts accesses and misses.
 type CacheStats struct {
-	Accesses  uint64
-	Misses    uint64
-	Evictions uint64
+	Accesses uint64
+	Misses   uint64
 }
+
+// Stamp layout: the generation in the high half, the MRU way in the low.
+const (
+	stampGenShift = 16
+	stampWayMask  = 1<<stampGenShift - 1
+	// maxLive is the last generation before the counter wraps.
+	maxLive = ^uint32(0) &^ stampWayMask
+	// rseedInit is the Random policy's xorshift seed on a new cache.
+	rseedInit = 0x2545f4914f6cdd1d
+)
 
 // MissRate returns misses/accesses, or 0 when idle.
 func (s CacheStats) MissRate() float64 {
@@ -77,10 +99,15 @@ func NewCache(name string, g machine.CacheGeom, policy ReplacementPolicy) *Cache
 	if 1<<lineBits != g.LineBytes {
 		panic(fmt.Sprintf("mem: cache %s line size %d not a power of two", name, g.LineBytes))
 	}
+	if g.Ways > stampWayMask+1 {
+		panic(fmt.Sprintf("mem: cache %s has %d ways, more than %d", name, g.Ways, stampWayMask+1))
+	}
 	setBits := uint(0)
 	for s := sets; s > 1; s >>= 1 {
 		setBits++
 	}
+	// Generation 1 over zeroed stamps: every set starts stale, which for
+	// a new cache only means empty.
 	return &Cache{
 		name:     name,
 		sets:     sets,
@@ -91,9 +118,44 @@ func NewCache(name string, g machine.CacheGeom, policy ReplacementPolicy) *Cache
 		policy:   policy,
 		tags:     make([]uint64, sets*g.Ways),
 		ts:       make([]uint64, sets*g.Ways),
-		mru:      make([]int32, sets),
-		rseed:    0x2545f4914f6cdd1d,
+		stamp:    make([]uint32, sets),
+		live:     1 << stampGenShift,
+		rseed:    rseedInit,
 	}
+}
+
+// Reset returns the cache to the state NewCache gives it: empty, clock 0,
+// zero stats. It is O(1): advancing the generation makes every set stale,
+// and a stale set is emptied when first touched.
+func (c *Cache) Reset() {
+	if c.live == maxLive {
+		// The generation counter is exhausted: clear the stamps once
+		// and start over.
+		clear(c.stamp)
+		c.live = 0
+	}
+	c.live += 1 << stampGenShift
+	c.batch = c.batch[:0]
+	c.clock = 0
+	c.rseed = rseedInit
+	c.Stats = CacheStats{}
+}
+
+// materialize brings a stale set into the current generation: it empties
+// the set, replays the set's share of the recorded batch and returns the
+// set's new stamp.
+func (c *Cache) materialize(set uint64) uint32 {
+	base := int(set) * c.ways
+	clear(c.tags[base : base+c.ways])
+	clear(c.ts[base : base+c.ways])
+	st := c.live
+	if len(c.batch) > 0 {
+		if w := c.replay(set, base); w >= 0 {
+			st |= uint32(w)
+		}
+	}
+	c.stamp[set] = st
+	return st
 }
 
 // Name returns the cache's label.
@@ -108,21 +170,25 @@ func (c *Cache) Access(addr uint64) bool {
 	word := line<<1 | 1
 	base := int(set) * c.ways
 
+	st := c.stamp[set]
+	if st < c.live {
+		st = c.materialize(set)
+	}
 	// MRU fast path: repeated hits to the same line skip the way scan.
-	if m := base + int(c.mru[set]); c.tags[m] == word {
+	if m := base + int(st&stampWayMask); c.tags[m] == word {
 		c.ts[m] = c.clock
 		return true
 	}
 	for w := 0; w < c.ways; w++ {
 		if c.tags[base+w] == word {
 			c.ts[base+w] = c.clock
-			c.mru[set] = int32(w)
+			c.stamp[set] = c.live | uint32(w)
 			return true
 		}
 	}
 	c.Stats.Misses++
 	victim := c.fill(base, word)
-	c.mru[set] = int32(victim - base)
+	c.stamp[set] = c.live | uint32(victim-base)
 	return false
 }
 
@@ -132,6 +198,14 @@ func (c *Cache) Probe(addr uint64) bool {
 	set := line & c.setMask
 	word := line<<1 | 1
 	base := int(set) * c.ways
+	if c.stamp[set] < c.live {
+		if len(c.batch) == 0 {
+			// Stale with nothing recorded: empty. Not materializing
+			// keeps a clock-0 cache free to record a batch.
+			return false
+		}
+		c.materialize(set)
+	}
 	for w := 0; w < c.ways; w++ {
 		if c.tags[base+w] == word {
 			return true
@@ -150,6 +224,9 @@ func (c *Cache) Insert(addr uint64) {
 	set := line & c.setMask
 	word := line<<1 | 1
 	base := int(set) * c.ways
+	if c.stamp[set] < c.live {
+		c.materialize(set)
+	}
 
 	if c.policy != LRU {
 		for w := 0; w < c.ways; w++ {
@@ -158,7 +235,7 @@ func (c *Cache) Insert(addr uint64) {
 			}
 		}
 		victim := c.fill(base, word)
-		c.mru[set] = int32(victim - base)
+		c.stamp[set] = c.live | uint32(victim-base)
 		return
 	}
 	// LRU: fused presence + victim scan. Victim preference matches fill:
@@ -185,12 +262,10 @@ func (c *Cache) Insert(addr uint64) {
 	}
 	if empty >= 0 {
 		victim = empty
-	} else {
-		c.Stats.Evictions++
 	}
 	c.tags[victim] = word
 	c.ts[victim] = c.clock
-	c.mru[set] = int32(victim - base)
+	c.stamp[set] = c.live | uint32(victim-base)
 }
 
 // InsertRange installs every line of [start, end) in ascending address
@@ -203,24 +278,7 @@ func (c *Cache) Insert(addr uint64) {
 // tag/timestamp array through the cache hierarchy on every wrap, while
 // the bulk path processes each set exactly once with its ways held hot.
 func (c *Cache) InsertRange(start, end uint64) {
-	if end <= start {
-		return
-	}
-	if c.policy != LRU || c.ways > maxBulkWays {
-		c.insertRangeSlow(start, end)
-		return
-	}
-	sets := uint64(c.sets)
-	n := (end - start + (1 << c.lineBits) - 1) >> c.lineBits
-	first := start >> c.lineBits
-	jobs := [1]insertJob{{
-		first: first, last: first + n - 1, n: n,
-		mFull: n / sets, mRem: n % sets,
-		clockBase: c.clock,
-		startSet:  first & c.setMask,
-		cnt:       min(n, sets),
-	}}
-	c.runInsertJobs(jobs[:], c.clock+n)
+	c.InsertRanges([][2]uint64{{start, end}})
 }
 
 // InsertRanges installs a batch of byte ranges, equivalent to calling
@@ -228,6 +286,13 @@ func (c *Cache) InsertRange(start, end uint64) {
 // snapshotted once for the whole batch and the victim-queue state carries
 // across ranges. The prewarm pass batches all of a cache's ranges through
 // this, turning ranges×sets set visits into one visit per set.
+//
+// On a cache with clock 0 — new or just Reset — the batch is only
+// recorded: every set is stale, and replays its share of the batch when
+// first touched. Every tag write advances the clock, so at clock 0 nothing
+// has been filled in this generation and no batch is recorded yet. This is
+// the production prewarm case; its cost follows the sets a run goes on to
+// use rather than the size of the cache.
 func (c *Cache) InsertRanges(ranges [][2]uint64) {
 	if c.policy != LRU || c.ways > maxBulkWays {
 		for _, r := range ranges {
@@ -237,8 +302,14 @@ func (c *Cache) InsertRanges(ranges [][2]uint64) {
 		}
 		return
 	}
+	record := c.clock == 0
+	jobs := c.batch[:0] // empty at clock 0, so its storage is free
+	if !record {
+		// The recorded batch must outlive this one: stale sets still
+		// replay it.
+		jobs = make([]insertJob, 0, len(ranges))
+	}
 	sets := uint64(c.sets)
-	jobs := make([]insertJob, 0, len(ranges))
 	clock := c.clock
 	for _, r := range ranges {
 		if r[1] <= r[0] {
@@ -247,7 +318,7 @@ func (c *Cache) InsertRanges(ranges [][2]uint64) {
 		n := (r[1] - r[0] + (1 << c.lineBits) - 1) >> c.lineBits
 		first := r[0] >> c.lineBits
 		j := insertJob{
-			first: first, last: first + n - 1, n: n,
+			first: first, last: first + n - 1,
 			mFull: n / sets, mRem: n % sets,
 			clockBase: clock,
 			startSet:  first & c.setMask,
@@ -265,6 +336,11 @@ func (c *Cache) InsertRanges(ranges [][2]uint64) {
 		clock += n
 	}
 	if len(jobs) == 0 {
+		return
+	}
+	if record {
+		c.batch = jobs
+		c.clock = clock
 		return
 	}
 	c.runInsertJobs(jobs, clock)
@@ -286,40 +362,33 @@ const maxBulkWays = 32
 // insertJob is one range of an InsertRanges batch, in line coordinates.
 type insertJob struct {
 	first, last uint64 // inclusive line ids
-	n           uint64 // line count
 	mFull, mRem uint64 // lines per set: mFull, +1 for the first mRem sets
 	clockBase   uint64 // clock value before this job's first insert
 	startSet    uint64 // set of the first line
-	cnt         uint64 // touched set count, min(n, sets)
+	cnt         uint64 // touched set count, min(lines, sets)
 	overlaps    bool   // line bounds intersect an earlier job in the batch
 }
 
-// runInsertJobs executes a batch of insert jobs with state, statistics and
-// clock evolution identical to the per-line Insert loops in batch order.
+// runInsertJobs executes a batch of insert jobs on a cache that has been
+// touched (clock > 0), with state, statistics and clock evolution
+// identical to the per-line Insert loops in batch order.
 //
-// Each set is handled independently (Insert never couples distinct sets) and
-// visited once for the whole batch. Within a set, victims are fully
-// determined: empty ways in way order, then pre-existing entries
-// oldest-first, then the batch's own fills in FIFO rotation. Because every
-// pop is immediately followed by a fill of the same way, the rotation phase
-// revisits the ways in exactly the order of the first `ways` pops — so the
-// whole victim stream is one fixed sequence sigma (empties in way order,
-// then pre-entries by age) cycled forever, and pop p is sigma[p mod ways]
-// with no FIFO bookkeeping at all. That state carries from job to job: it
-// is exactly what a fresh per-job snapshot would rebuild, since remaining
-// empties stay in way order and surviving fills' timestamp order equals
-// fill order. Presence-hits (skips that touch nothing, not even
-// timestamps) can only come from pre-existing entries inside the job's
-// line bounds or from earlier overlapping jobs in the batch; only then are
-// residency checks paid.
+// Each set is handled independently (Insert never couples distinct sets)
+// and visited once for the whole batch; a stale set is materialized first.
+// Within a set, victims are fully determined: empty ways in way order,
+// then pre-existing entries oldest-first, then the batch's own fills in
+// FIFO rotation. Because every pop is immediately followed by a fill of
+// the same way, the rotation phase revisits the ways in exactly the order
+// of the first `ways` pops — so the whole victim stream is one fixed
+// sequence sigma (empties in way order, then pre-entries by age) cycled
+// forever, and pop p is sigma[p mod ways] with no FIFO bookkeeping at all. That state
+// carries from job to job: it is exactly what a fresh per-job snapshot
+// would rebuild, since remaining empties stay in way order and surviving
+// fills' timestamp order equals fill order. Presence-hits (skips that
+// touch nothing, not even timestamps) can only come from pre-existing
+// entries inside the job's line bounds or from earlier overlapping jobs in
+// the batch; only then are residency checks paid.
 func (c *Cache) runInsertJobs(jobs []insertJob, endClock uint64) {
-	if c.clock == 0 {
-		// Every tag write advances the clock, so clock 0 means an
-		// untouched cache — the production prewarm case, with its own
-		// leaner sweep.
-		c.runInsertJobsFresh(jobs, endClock)
-		return
-	}
 	sets := uint64(c.sets)
 	ways := c.ways
 	// A single job only touches cnt consecutive sets; a batch sweeps all.
@@ -352,6 +421,9 @@ func (c *Cache) runInsertJobs(jobs []insertJob, endClock uint64) {
 			}
 			if !snapped {
 				snapped = true
+				if c.stamp[s] < c.live {
+					c.materialize(s)
+				}
 				for w := 0; w < ways; w++ {
 					t := c.tags[base+w]
 					if t == 0 {
@@ -386,13 +458,13 @@ func (c *Cache) runInsertJobs(jobs []insertJob, endClock uint64) {
 			// t in [0, m), insert index within the job idx = k + t*sets.
 			lineBase := j.first + k
 			if !check {
-				if m == 1 {
-					// The dominant shape (a range shorter than the set
-					// space visits each set once): one fill, no loop.
-					var w int32
-					if pops < e0 {
-						w = order[popIdx]
-					} else {
+				// Clean job: every insert fills. While pops stay below e0
+				// the victims are the empties, fill-order untouched; after
+				// that sigma cycles.
+				idx := k
+				line := lineBase
+				for t := uint64(0); t < m; t++ {
+					if pops >= e0 {
 						if !merged {
 							merged = true
 							mergePre(&order, &preWay, &preTS, &preLine, e0, nPre)
@@ -400,24 +472,7 @@ func (c *Cache) runInsertJobs(jobs []insertJob, endClock uint64) {
 						if popIdx == ways {
 							popIdx = 0
 						}
-						w = order[popIdx]
-						c.Stats.Evictions++
 					}
-					popIdx++
-					pops++
-					i := base + int(w)
-					c.tags[i] = lineBase<<1 | 1
-					c.ts[i] = j.clockBase + k + 1
-					lastFill = w
-					continue
-				}
-				// Clean job: every insert fills. While pops stay below e0
-				// the victims are the empties, fill-order untouched; after
-				// that sigma cycles and every fill evicts.
-				idx := k
-				line := lineBase
-				t := uint64(0)
-				for ; t < m && pops < e0; t++ {
 					w := order[popIdx]
 					popIdx++
 					pops++
@@ -427,27 +482,6 @@ func (c *Cache) runInsertJobs(jobs []insertJob, endClock uint64) {
 					lastFill = w
 					idx += sets
 					line += sets
-				}
-				if t < m {
-					if !merged {
-						merged = true
-						mergePre(&order, &preWay, &preTS, &preLine, e0, nPre)
-					}
-					for ; t < m; t++ {
-						if popIdx == ways {
-							popIdx = 0
-						}
-						w := order[popIdx]
-						popIdx++
-						pops++
-						c.Stats.Evictions++
-						i := base + int(w)
-						c.tags[i] = line<<1 | 1
-						c.ts[i] = j.clockBase + idx + 1
-						lastFill = w
-						idx += sets
-						line += sets
-					}
 				}
 				continue
 			}
@@ -458,36 +492,12 @@ func (c *Cache) runInsertJobs(jobs []insertJob, endClock uint64) {
 				// bounds are necessarily on this sub-sequence (their set is
 				// determined by the line), so a bounds check suffices and
 				// the position falls out of a shift.
-				for w := 0; w < ways; w++ {
-					wayJ[w] = -1
-					t := c.tags[base+w]
-					if t == 0 {
-						continue
-					}
-					if line := t >> 1; line >= j.first && line <= j.last {
-						p := (line - lineBase) >> c.setBits
-						wayJ[w] = int32(p)
-						mask |= 1 << p
-					}
-				}
+				mask = c.residentMask(base, j, lineBase, &wayJ)
 			}
 			idx := k
 			line := lineBase
 			for t := uint64(0); t < m; t++ {
-				present := false
-				if useMask {
-					present = mask&(1<<t) != 0
-				} else {
-					// Overlapping with m > 64: per-line residency scan.
-					word := line<<1 | 1
-					for w := 0; w < ways; w++ {
-						if c.tags[base+w] == word {
-							present = true
-							break
-						}
-					}
-				}
-				if !present {
+				if !c.present(base, useMask, mask, t, line) {
 					if pops >= e0 {
 						if !merged {
 							merged = true
@@ -496,7 +506,6 @@ func (c *Cache) runInsertJobs(jobs []insertJob, endClock uint64) {
 						if popIdx == ways {
 							popIdx = 0
 						}
-						c.Stats.Evictions++
 					}
 					w := order[popIdx]
 					popIdx++
@@ -504,10 +513,7 @@ func (c *Cache) runInsertJobs(jobs []insertJob, endClock uint64) {
 					if useMask {
 						// Evicting a not-yet-reached resident line makes its
 						// turn a real re-fill.
-						if pj := wayJ[w]; pj >= 0 {
-							mask &^= 1 << uint64(pj)
-						}
-						wayJ[w] = -1
+						mask = evictPending(mask, &wayJ, w)
 					}
 					i := base + int(w)
 					c.tags[i] = line<<1 | 1
@@ -519,143 +525,128 @@ func (c *Cache) runInsertJobs(jobs []insertJob, endClock uint64) {
 			}
 		}
 		if lastFill >= 0 {
-			c.mru[s] = lastFill
+			c.stamp[s] = c.live | uint32(lastFill)
 		}
 	}
 	c.clock = endClock
 }
 
-// runInsertJobsFresh is runInsertJobs specialized for an untouched cache:
-// with every way empty, sigma is the way order itself, so there is no
-// snapshot, no timestamp merge and no pre-entry residency scan. Presence
+// replay fills the just-emptied set s at base with its share of the
+// recorded batch and returns the last way filled, or -1. With every way
+// empty, sigma is the way order itself, so there is no snapshot, no
+// timestamp merge and no pre-entry residency scan: the victim of the
+// set's p-th pop is way p mod ways, and a fill past the first `ways` pops
+// overwrites a prior fill, exactly as the per-line path would. Presence
 // checks remain only for jobs overlapping an earlier job of the batch
-// (nursery re-warms), whose mask is built from the live tags as in the
-// general path. Victim of pop p in any set is way p mod ways; a fill past
-// the first `ways` pops overwrites a prior fill and counts as an eviction,
-// exactly as the per-line path would.
-func (c *Cache) runInsertJobsFresh(jobs []insertJob, endClock uint64) {
+// (nursery re-warms).
+func (c *Cache) replay(s uint64, base int) int32 {
 	sets := uint64(c.sets)
 	ways := c.ways
-	sweepStart, sweepCnt := uint64(0), sets
-	if len(jobs) == 1 {
-		sweepStart, sweepCnt = jobs[0].startSet, jobs[0].cnt
-	}
 	var wayJ [maxBulkWays]int32 // way -> pending in-bounds position, mask mode
-	for si := uint64(0); si < sweepCnt; si++ {
-		s := (sweepStart + si) & c.setMask
-		base := int(s) * ways
-		popIdx, pops := 0, 0
-		lastFill := int32(-1)
-		for ji := range jobs {
-			j := &jobs[ji]
-			k := (s - j.startSet) & c.setMask
-			if k >= j.cnt {
-				continue
-			}
-			m := j.mFull
-			if k < j.mRem {
-				m++
-			}
-			lineBase := j.first + k
-			if !j.overlaps {
-				if m == 1 {
-					if popIdx == ways {
-						popIdx = 0
-					}
-					if pops >= ways {
-						c.Stats.Evictions++
-					}
-					w := popIdx
-					popIdx++
-					pops++
-					i := base + w
-					c.tags[i] = lineBase<<1 | 1
-					c.ts[i] = j.clockBase + k + 1
-					lastFill = int32(w)
-					continue
-				}
-				idx := k
-				line := lineBase
-				for t := uint64(0); t < m; t++ {
-					if popIdx == ways {
-						popIdx = 0
-					}
-					if pops >= ways {
-						c.Stats.Evictions++
-					}
-					w := popIdx
-					popIdx++
-					pops++
-					i := base + w
-					c.tags[i] = line<<1 | 1
-					c.ts[i] = j.clockBase + idx + 1
-					lastFill = int32(w)
-					idx += sets
-					line += sets
-				}
-				continue
-			}
-			useMask := m <= 64
-			var mask uint64
-			if useMask {
-				for w := 0; w < ways; w++ {
-					wayJ[w] = -1
-					t := c.tags[base+w]
-					if t == 0 {
-						continue
-					}
-					if line := t >> 1; line >= j.first && line <= j.last {
-						p := (line - lineBase) >> c.setBits
-						wayJ[w] = int32(p)
-						mask |= 1 << p
-					}
-				}
-			}
+	popIdx := 0
+	lastFill := int32(-1)
+	for ji := range c.batch {
+		j := &c.batch[ji]
+		k := (s - j.startSet) & c.setMask
+		if k >= j.cnt {
+			continue
+		}
+		m := j.mFull
+		if k < j.mRem {
+			m++
+		}
+		lineBase := j.first + k
+		if !j.overlaps {
 			idx := k
 			line := lineBase
 			for t := uint64(0); t < m; t++ {
-				present := false
-				if useMask {
-					present = mask&(1<<t) != 0
-				} else {
-					word := line<<1 | 1
-					for w := 0; w < ways; w++ {
-						if c.tags[base+w] == word {
-							present = true
-							break
-						}
-					}
+				if popIdx == ways {
+					popIdx = 0
 				}
-				if !present {
-					if popIdx == ways {
-						popIdx = 0
-					}
-					if pops >= ways {
-						c.Stats.Evictions++
-					}
-					w := popIdx
-					popIdx++
-					pops++
-					if useMask {
-						if pj := wayJ[w]; pj >= 0 {
-							mask &^= 1 << uint64(pj)
-						}
-						wayJ[w] = -1
-					}
-					i := base + w
-					c.tags[i] = line<<1 | 1
-					c.ts[i] = j.clockBase + idx + 1
-					lastFill = int32(w)
-				}
+				i := base + popIdx
+				c.tags[i] = line<<1 | 1
+				c.ts[i] = j.clockBase + idx + 1
+				lastFill = int32(popIdx)
+				popIdx++
 				idx += sets
 				line += sets
 			}
+			continue
 		}
-		if lastFill >= 0 {
-			c.mru[s] = lastFill
+		useMask := m <= 64
+		var mask uint64
+		if useMask {
+			mask = c.residentMask(base, j, lineBase, &wayJ)
+		}
+		idx := k
+		line := lineBase
+		for t := uint64(0); t < m; t++ {
+			if !c.present(base, useMask, mask, t, line) {
+				if popIdx == ways {
+					popIdx = 0
+				}
+				w := int32(popIdx)
+				popIdx++
+				if useMask {
+					mask = evictPending(mask, &wayJ, w)
+				}
+				i := base + int(w)
+				c.tags[i] = line<<1 | 1
+				c.ts[i] = j.clockBase + idx + 1
+				lastFill = w
+			}
+			idx += sets
+			line += sets
 		}
 	}
-	c.clock = endClock
+	return lastFill
+}
+
+// residentMask returns which of job j's lines landing in the set at base
+// are resident, as bits of their position on the set's sub-sequence from
+// lineBase, and records each resident way's position in wayJ (-1 for the
+// others).
+func (c *Cache) residentMask(base int, j *insertJob, lineBase uint64, wayJ *[maxBulkWays]int32) uint64 {
+	var mask uint64
+	for w := 0; w < c.ways; w++ {
+		wayJ[w] = -1
+		t := c.tags[base+w]
+		if t == 0 {
+			continue
+		}
+		if line := t >> 1; line >= j.first && line <= j.last {
+			p := (line - lineBase) >> c.setBits
+			wayJ[w] = int32(p)
+			mask |= 1 << p
+		}
+	}
+	return mask
+}
+
+// present reports whether the t-th line of a job's sub-sequence in the set
+// at base is resident: from the mask, or (beyond 64 lines) by a scan.
+func (c *Cache) present(base int, useMask bool, mask, t, line uint64) bool {
+	if useMask {
+		return mask&(1<<t) != 0
+	}
+	word := line<<1 | 1
+	for w := 0; w < c.ways; w++ {
+		if c.tags[base+w] == word {
+			return true
+		}
+	}
+	return false
+}
+
+// evictPending clears the mask bit of the line way w holds, if it is a
+// not-yet-reached line of the current job: evicting it makes its turn a
+// real re-fill.
+func evictPending(mask uint64, wayJ *[maxBulkWays]int32, w int32) uint64 {
+	if pj := wayJ[w]; pj >= 0 {
+		mask &^= 1 << uint64(pj)
+	}
+	wayJ[w] = -1
+	return mask
 }
 
 // mergePre completes sigma: the pre-existing entries are sorted by
@@ -701,118 +692,11 @@ func (c *Cache) fill(base int, word uint64) int {
 		c.rseed ^= c.rseed >> 27
 		victim = base + int((c.rseed*0x2545f4914f6cdd1d)>>33)%c.ways
 	}
-	if c.tags[victim] != 0 {
-		c.Stats.Evictions++
-	}
 	c.tags[victim] = word
 	c.ts[victim] = c.clock
 	return victim
 }
 
-// Flush invalidates every line, modeling the cold-start state after JIT
-// code-page relocation or a context migration.
-func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = 0
-	}
-}
-
-// FlushRange invalidates all lines whose address falls inside
-// [start, start+size), used when the JIT relocates one code page.
-func (c *Cache) FlushRange(start, size uint64) {
-	first := start >> c.lineBits
-	last := (start + size - 1) >> c.lineBits
-	firstWord := first<<1 | 1
-	lastWord := last<<1 | 1
-	for i, t := range c.tags {
-		if t != 0 && t >= firstWord && t <= lastWord {
-			c.tags[i] = 0
-		}
-	}
-}
-
 // ResetStats zeroes the counters without touching cache contents; used to
 // discard warmup runs the way §III-A discards the first of 15 runs.
 func (c *Cache) ResetStats() { c.Stats = CacheStats{} }
-
-// AccessKind distinguishes the kinds of memory access for hierarchy stats.
-type AccessKind int
-
-const (
-	InstFetch AccessKind = iota
-	Load
-	Store
-)
-
-// HierarchyResult reports where in the hierarchy an access hit.
-type HierarchyResult struct {
-	L1Hit, L2Hit, L3Hit bool
-	// Level is 1..4, with 4 meaning DRAM.
-	Level int
-}
-
-// Hierarchy composes L1I/L1D, a unified L2 and the LLC. One Hierarchy
-// models one core's private levels; the LLC may be shared across cores via
-// the noc package, which wraps the same Cache type.
-type Hierarchy struct {
-	L1I, L1D *Cache
-	L2       *Cache
-	L3       *Cache // may be shared; nil-safe accessors are not provided on purpose
-}
-
-// NewHierarchy builds a per-core hierarchy (with a private LLC) from a
-// machine config.
-func NewHierarchy(cfg *machine.Config, policy ReplacementPolicy) *Hierarchy {
-	return &Hierarchy{
-		L1I: NewCache("L1I", cfg.L1I, policy),
-		L1D: NewCache("L1D", cfg.L1D, policy),
-		L2:  NewCache("L2", cfg.L2, policy),
-		L3:  NewCache("L3", cfg.L3, policy),
-	}
-}
-
-// NewHierarchyShared builds a per-core hierarchy around an existing shared
-// LLC.
-func NewHierarchyShared(cfg *machine.Config, policy ReplacementPolicy, shared *Cache) *Hierarchy {
-	return &Hierarchy{
-		L1I: NewCache("L1I", cfg.L1I, policy),
-		L1D: NewCache("L1D", cfg.L1D, policy),
-		L2:  NewCache("L2", cfg.L2, policy),
-		L3:  shared,
-	}
-}
-
-// Access sends one access through the hierarchy and reports the hit level.
-func (h *Hierarchy) Access(kind AccessKind, addr uint64) HierarchyResult {
-	l1 := h.L1D
-	if kind == InstFetch {
-		l1 = h.L1I
-	}
-	if l1.Access(addr) {
-		return HierarchyResult{L1Hit: true, Level: 1}
-	}
-	if h.L2.Access(addr) {
-		return HierarchyResult{L2Hit: true, Level: 2}
-	}
-	if h.L3.Access(addr) {
-		return HierarchyResult{L3Hit: true, Level: 3}
-	}
-	return HierarchyResult{Level: 4}
-}
-
-// FlushAll clears every level (but not a shared L3's peers' view: the LLC
-// flush affects all sharers, which is physically accurate).
-func (h *Hierarchy) FlushAll() {
-	h.L1I.Flush()
-	h.L1D.Flush()
-	h.L2.Flush()
-	h.L3.Flush()
-}
-
-// ResetStats clears counters at every level.
-func (h *Hierarchy) ResetStats() {
-	h.L1I.ResetStats()
-	h.L1D.ResetStats()
-	h.L2.ResetStats()
-	h.L3.ResetStats()
-}

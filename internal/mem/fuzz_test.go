@@ -8,7 +8,7 @@ import (
 
 // FuzzCacheAccess drives a cache with arbitrary byte-derived access
 // sequences and checks the structural invariants: stats add up, a just-
-// accessed line probes present, flush empties.
+// accessed line probes present, Reset empties.
 func FuzzCacheAccess(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 255, 128}, uint8(0))
 	f.Add([]byte{7, 7, 7, 7}, uint8(1))
@@ -35,11 +35,11 @@ func FuzzCacheAccess(f *testing.F) {
 		if c.Stats.Misses != accesses-hits {
 			t.Fatalf("miss accounting: %d misses, %d accesses, %d hits", c.Stats.Misses, accesses, hits)
 		}
-		c.Flush()
+		c.Reset()
 		for i := 0; i+4 <= len(data); i += 4 {
 			addr := uint64(data[i]) | uint64(data[i+1])<<8
 			if c.Probe(addr) {
-				t.Fatalf("line %x survived flush", addr)
+				t.Fatalf("line %x survived reset", addr)
 			}
 		}
 	})

@@ -14,13 +14,27 @@ func cloneCache(c *Cache) *Cache {
 	d := *c
 	d.tags = append([]uint64(nil), c.tags...)
 	d.ts = append([]uint64(nil), c.ts...)
-	d.mru = append([]int32(nil), c.mru...)
+	d.stamp = append([]uint32(nil), c.stamp...)
+	d.batch = append([]insertJob(nil), c.batch...)
 	return &d
 }
 
-// sameState reports the first difference between two caches' complete
-// internal state, or "" if identical.
+// materializeAll brings every stale set into the current generation, so
+// the arrays hold the cache's logical state.
+func materializeAll(c *Cache) {
+	for s := range c.stamp {
+		if c.stamp[s] < c.live {
+			c.materialize(uint64(s))
+		}
+	}
+}
+
+// sameState reports the first difference between two caches' logical
+// state — clock, stats, and every set's ways, timestamps and MRU way once
+// materialized — or "" if identical.
 func sameState(a, b *Cache) string {
+	materializeAll(a)
+	materializeAll(b)
 	if a.clock != b.clock {
 		return fmt.Sprintf("clock %d != %d", a.clock, b.clock)
 	}
@@ -35,9 +49,9 @@ func sameState(a, b *Cache) string {
 			return fmt.Sprintf("ts[%d] %d != %d", i, a.ts[i], b.ts[i])
 		}
 	}
-	for s := range a.mru {
-		if a.mru[s] != b.mru[s] {
-			return fmt.Sprintf("mru[%d] %d != %d", s, a.mru[s], b.mru[s])
+	for s := range a.stamp {
+		if wa, wb := a.stamp[s]&stampWayMask, b.stamp[s]&stampWayMask; wa != wb {
+			return fmt.Sprintf("mru[%d] %d != %d", s, wa, wb)
 		}
 	}
 	return ""
@@ -59,7 +73,7 @@ func TestInsertRangeMatchesInsertLoop(t *testing.T) {
 			ref := NewCache("ref", g, LRU)
 			// Random pre-state: a mix of accesses and inserts over a region
 			// that partially overlaps the ranges inserted below. Every third
-			// trial keeps the cache untouched to drive the fresh-cache sweep.
+			// trial keeps the cache untouched to drive the recorded batch.
 			nOps := r.Intn(200)
 			if trial%3 == 0 {
 				nOps = 0
@@ -114,7 +128,7 @@ func TestInsertRangesMatchesInsertLoop(t *testing.T) {
 		for trial := 0; trial < 150; trial++ {
 			ref := NewCache("ref", g, LRU)
 			// Untouched every third trial: batches (overlaps included) must
-			// also be exact on the fresh-cache sweep.
+			// also be exact when recorded and replayed per set.
 			nOps := r.Intn(150)
 			if trial%3 == 0 {
 				nOps = 0

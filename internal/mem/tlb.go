@@ -299,6 +299,16 @@ func (t *TLB) Flush() {
 	}
 }
 
+// Reset returns the TLB to the state NewTLB gives it: empty, clock 0,
+// zero stats. The second level is left alone; TLBSet.Reset resets it.
+func (t *TLB) Reset() {
+	clear(t.tags)
+	clear(t.ts)
+	clear(t.mru)
+	t.clock = 0
+	t.Stats = TLBStats{}
+}
+
 // ResetStats zeroes the counters (second level included).
 func (t *TLB) ResetStats() {
 	t.Stats = TLBStats{}
@@ -329,6 +339,13 @@ func (s *TLBSet) Flush() {
 	s.ITLB.Flush()
 	s.DTLB.Flush()
 	s.STLB.Flush()
+}
+
+// Reset empties every level, as NewTLBSet builds them.
+func (s *TLBSet) Reset() {
+	s.ITLB.Reset()
+	s.DTLB.Reset()
+	s.STLB.Reset()
 }
 
 // ResetStats zeroes all counters.

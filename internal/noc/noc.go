@@ -250,9 +250,15 @@ func (s *SharedLLC) ResetWindow() {
 	}
 }
 
-// Flush invalidates every slice.
-func (s *SharedLLC) Flush() {
+// Reset returns the shared LLC to the state New gives it: every slice
+// empty (in O(1), see mem.Cache.Reset), pressure accounting and stats
+// zeroed, interleaved placement.
+func (s *SharedLLC) Reset() {
 	for _, sl := range s.Slices {
-		sl.Flush()
+		sl.Reset()
 	}
+	clear(s.sliceAccesses)
+	s.windowCycles = 0
+	s.Stats = Stats{}
+	s.hashed = false
 }

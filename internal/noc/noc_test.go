@@ -117,13 +117,28 @@ func TestResetWindow(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
+// TestReset checks that Reset gives back the shared LLC New builds: empty
+// slices, zeroed pressure accounting and stats, interleaved placement.
+func TestReset(t *testing.T) {
 	s := New(machine.CoreI9(), mem.LRU)
-	s.Access(0, 0x40, 1)
-	s.Flush()
-	hit, _ := s.Access(0, 0x40, 1)
-	if hit {
-		t.Fatal("flush should invalidate")
+	fresh := New(machine.CoreI9(), mem.LRU)
+	s.UseHashedPlacement(true)
+	s.InsertRanges([][2]uint64{{0, 1 << 20}})
+	for a := uint64(0); a < 1<<16; a += 64 {
+		s.Access(1, a, 4)
+	}
+	s.Reset()
+	if s.Stats != (Stats{}) || s.windowCycles != 0 || s.hashed {
+		t.Fatalf("reset left stats %+v, window %d, hashed %v", s.Stats, s.windowCycles, s.hashed)
+	}
+	r := rng.New(3)
+	for i := 0; i < 20000; i++ {
+		a := uint64(r.Intn(1<<22)) &^ 63
+		h1, l1 := s.Access(0, a, 2)
+		h2, l2 := fresh.Access(0, a, 2)
+		if h1 != h2 || l1 != l2 {
+			t.Fatalf("reset LLC diverged from a new one at %#x (op %d)", a, i)
+		}
 	}
 }
 

@@ -61,6 +61,9 @@ func SystemClock() Clock { return systemClock{} }
 type Trace struct {
 	clock    Clock
 	progress io.Writer
+	// progressMu serializes progress lines: spans end on concurrent
+	// workers, and the writer need not be safe for concurrent use.
+	progressMu sync.Mutex
 
 	mu       sync.Mutex
 	start    time.Time
@@ -319,6 +322,8 @@ func (t *Trace) emitProgress(s *Span, done bool) {
 	if s.detail != "" {
 		label = s.name + " " + s.detail
 	}
+	t.progressMu.Lock()
+	defer t.progressMu.Unlock()
 	if done {
 		//charnet:ignore errdiscard progress output is best-effort console feedback
 		fmt.Fprintf(t.progress, "charnet: %s%s done in %s\n", indent, label, s.Duration().Round(time.Millisecond))

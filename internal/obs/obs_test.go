@@ -205,9 +205,12 @@ func TestProgressOutput(t *testing.T) {
 	}
 }
 
-// TestConcurrentUse exercises the lock paths under the race detector.
+// TestConcurrentUse exercises the lock paths under the race detector,
+// the progress writer included: with no driver span the workers' spans sit
+// at depth 1, so every worker prints progress lines.
 func TestConcurrentUse(t *testing.T) {
-	tr := New(WithClock(newFakeClock(time.Microsecond)))
+	var out strings.Builder
+	tr := New(WithClock(newFakeClock(time.Microsecond)), WithProgress(&out))
 	suite := tr.Span("measure", "x")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -229,5 +232,8 @@ func TestConcurrentUse(t *testing.T) {
 	recs, _, _, _ := tr.snapshot()
 	if len(recs) != 401 {
 		t.Fatalf("got %d spans, want 401", len(recs))
+	}
+	if got := strings.Count(out.String(), "charnet: "); got != 802 {
+		t.Fatalf("got %d progress lines, want 802 (a start and an end per span)", got)
 	}
 }

@@ -39,3 +39,26 @@ func BenchmarkRunNative(b *testing.B) {
 func BenchmarkRunMultiCore(b *testing.B) {
 	benchRun(b, workload.AspNetWorkloads(), "Json", Options{Instructions: 10000, Cores: 4})
 }
+
+// BenchmarkRunReuse is BenchmarkRunManaged on one warmed Runner: reset in
+// place instead of a new machine, the per-workload cost a suite
+// measurement pays.
+func BenchmarkRunReuse(b *testing.B) {
+	p, ok := workload.ByName(workload.DotNetCategories(), "System.Runtime")
+	if !ok {
+		b.Fatal("workload System.Runtime not found")
+	}
+	m := machine.CoreI9()
+	opts := Options{Instructions: 10000}
+	var r Runner
+	if _, err := r.Run(p, m, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Run(p, m, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

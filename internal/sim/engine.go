@@ -47,7 +47,7 @@ type Options struct {
 	TierUpCalls uint64
 	// PrecompiledFrac is the fraction of methods compiled before
 	// measurement (a long-warm process). Negative disables precompilation
-	// entirely (cold-start studies); 0 uses 0.97.
+	// entirely (cold-start studies); 0 uses 0.995.
 	PrecompiledFrac float64
 	// SampleInterval, in cycles, enables periodic counter sampling for the
 	// §VII-A correlation study. 0 disables sampling.
@@ -213,43 +213,11 @@ type engine struct {
 // Run executes the workload on the machine and returns counters, a
 // Top-Down profile and (optionally) time samples. It returns heap
 // configuration errors (OutOfMemory, server-GC reservation) unchanged so
-// experiments can reproduce the paper's missing configurations.
+// experiments can reproduce the paper's missing configurations. It is
+// new(Runner).Run: a caller simulating many workloads in turn should keep
+// a Runner instead.
 func Run(p workload.Profile, m *machine.Config, opts Options) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	e := &engine{p: p, m: m, opts: opts}
-	sp := opts.Obs
-	pspan := sp.Child("prewarm", "")
-	err := e.setup()
-	pspan.End()
-	sp.Trace().Observe("sim.phase.prewarm", pspan.Duration())
-	if err != nil {
-		return nil, err
-	}
-
-	perCore := opts.Instructions
-	if perCore == 0 {
-		perCore = DefaultInstructions
-	}
-	rspan := sp.Child("run", "")
-	if !opts.DisableWarmup {
-		e.run(perCore / 4)
-		e.resetStats()
-	}
-	e.nextSample = e.opts.SampleInterval
-	e.run(perCore)
-	rspan.End()
-	sp.Trace().Observe("sim.phase.run", rspan.Duration())
-	res, err := e.finish()
-	if err != nil {
-		return nil, err
-	}
-	sp.Trace().Add("sim.instructions", int64(res.Counters.Instructions))
-	return res, nil
+	return new(Runner).Run(p, m, opts)
 }
 
 func (e *engine) coreCount() int {
@@ -263,7 +231,9 @@ func (e *engine) coreCount() int {
 	return n
 }
 
-func (e *engine) setup() error {
+// setup builds the run's state on rn's structures, each reset to its new
+// state, and records the prewarm.
+func (e *engine) setup(rn *Runner) error {
 	n := e.coreCount()
 
 	// Software-stack friction (§V-D): on an immature platform the managed
@@ -344,8 +314,9 @@ func (e *engine) setup() error {
 		// Static native code layout: methods laid out contiguously once,
 		// identically across runs of the same binary.
 		r := rng.NewFrom(e.p.Seed(), rng.HashString(e.m.Name), 2)
-		e.nativeAddrs = make([]uint64, e.p.MethodCount)
-		e.nativeSizes = make([]int, e.p.MethodCount)
+		rn.nativeAddrs = sized(rn.nativeAddrs, e.p.MethodCount)
+		rn.nativeSizes = sized(rn.nativeSizes, e.p.MethodCount)
+		e.nativeAddrs, e.nativeSizes = rn.nativeAddrs, rn.nativeSizes
 		next := uint64(nativeCodeBase)
 		mean := e.effFootprint / e.p.MethodCount
 		if mean < 16 {
@@ -359,18 +330,7 @@ func (e *engine) setup() error {
 		}
 	}
 
-	// Kernel code layout, shared by all workloads on a machine.
-	kr := rng.NewFrom(rng.HashString("kernel"), rng.HashString(e.m.Name))
-	e.kernelAddrs = make([]uint64, kernelMethods)
-	e.kernelSizes = make([]int, kernelMethods)
-	knext := uint64(kernelCodeBase)
-	kmean := kernelCodeBytes / kernelMethods
-	for i := range e.kernelAddrs {
-		size := kmean/2 + kr.Intn(kmean)
-		e.kernelAddrs[i] = knext
-		e.kernelSizes[i] = size
-		knext += uint64(size)
-	}
+	e.kernelAddrs, e.kernelSizes = rn.kernelLayout()
 
 	// Kernel episodes average ~140 instructions; solve the entry
 	// probability that yields the profile's kernel share.
@@ -397,14 +357,14 @@ func (e *engine) setup() error {
 		e.coldFrac = 0
 	}
 
-	ctrl, err := dram.New(dram.Default(e.m.DRAMLat))
+	ctrl, err := rn.controller()
 	if err != nil {
 		return err
 	}
 	e.mem = ctrl
 
 	if n > 1 {
-		e.sharedLLC = noc.New(e.m, e.opts.Policy)
+		e.sharedLLC = rn.sharedLLC()
 		e.sharedLLC.UseHashedPlacement(e.opts.Assist.HashedSlicePlacement)
 	}
 	// Per-instruction invariants (see the engine struct comment): each is
@@ -424,6 +384,8 @@ func (e *engine) setup() error {
 	if e.opts.Assist.HugePageCode && e.p.Managed {
 		e.ipageBytes = 2 << 20
 	}
+	rn.coreBases = sized(rn.coreBases, n)
+	e.coreBases = rn.coreBases
 	e.refreshDataLayout()
 
 	// On an immature stack the JIT lacks hot-path tiering and profile-
@@ -432,29 +394,29 @@ func (e *engine) setup() error {
 	if e.p.Managed && e.m.StackFriction > 2 {
 		methodZipf *= 0.45
 	}
-	e.cores = make([]*core, n)
 	for i := 0; i < n; i++ {
 		r := rng.NewFrom(e.p.Seed(), rng.HashString(e.m.Name), e.opts.SeedSalt, uint64(100+i))
-		c := &core{
+		c := rn.core(i)
+		*c = core{
 			id:    i,
 			r:     r,
 			dzipf: rng.NewZipf(r, dataBuckets, e.p.DataZipf),
 			mzipf: rng.NewZipf(r, dataBuckets, methodZipf),
-			l1i:   mem.NewCache("L1I", e.m.L1I, e.opts.Policy),
-			l1d:   mem.NewCache("L1D", e.m.L1D, e.opts.Policy),
-			l2:    mem.NewCache("L2", e.m.L2, e.opts.Policy),
-			tlbs:  mem.NewTLBSet(e.m),
-			bp:    branch.New(13, e.m.BTBEntries, 4),
+			l1i:   c.l1i,
+			l1d:   c.l1d,
+			l2:    c.l2,
+			tlbs:  c.tlbs,
+			bp:    c.bp,
 		}
 		if e.sharedLLC == nil {
-			c.l3 = mem.NewCache("L3", e.m.L3, e.opts.Policy)
+			c.l3 = rn.privateLLC()
 		}
 		c.callIn = e.callGap(c)
 		e.switchMethod(c)
 		c.seqAddr = e.dataBase(c) + uint64(c.r.Intn(1<<16))
-		e.cores[i] = c
 	}
-	e.prewarm()
+	e.cores = rn.cores[:n]
+	e.prewarm(rn)
 	return nil
 }
 
@@ -476,13 +438,11 @@ func (e *engine) dataBase(c *core) uint64 {
 }
 
 // refreshDataLayout recomputes the cached data-region span and per-core
-// base addresses. Called once at setup and again whenever survivorsReal
-// grows (the no-compaction ablation), the only event that moves them.
+// base addresses (setup sizes coreBases to the core count). Called once at
+// setup and again whenever survivorsReal grows (the no-compaction
+// ablation), the only event that moves them.
 func (e *engine) refreshDataLayout() {
 	e.span = e.regionSpan()
-	if e.coreBases == nil {
-		e.coreBases = make([]uint64, e.coreCount())
-	}
 	base := uint64(nativeDataBase)
 	if e.heap != nil {
 		base = e.heap.Base()

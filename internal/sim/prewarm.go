@@ -6,12 +6,14 @@ package sim
 // <5% variance); a short simulation window would otherwise spend itself
 // on cold misses that real measurements amortized away long ago.
 //
-// Ranges are batched per cache and executed with one InsertRanges call
-// each, which processes the whole batch set-major (one snapshot per set).
+// Ranges are batched per cache and handed over with one InsertRanges call
+// each. Every cache has just been reset, so the call only records the
+// batch, and each set replays its share when the run first touches it.
 // Batching only reorders inserts across *distinct* caches and TLBs, which
 // share no state; each structure still sees its ranges in original order.
-func (e *engine) prewarm() {
-	llc := make([][2]uint64, 0, 2+4*len(e.cores))
+// The range lists are rn's scratch.
+func (e *engine) prewarm(rn *Runner) {
+	llc := rn.llc[:0]
 	addLLC := func(start, end uint64) {
 		if end > start {
 			llc = append(llc, [2]uint64{start, end})
@@ -34,7 +36,7 @@ func (e *engine) prewarm() {
 	if e.p.KernelFrac > 0.005 {
 		addLLC(kernelCodeBase, kEnd)
 	}
-	l2b := make([][2]uint64, 0, 4)
+	l2b := rn.l2b[:0]
 	for _, c := range e.cores {
 		l2b = l2b[:0]
 		// L2: the start of the code region (hot methods live everywhere in
@@ -115,4 +117,5 @@ func (e *engine) prewarm() {
 			c.l3.InsertRanges(llc)
 		}
 	}
+	rn.llc, rn.l2b = llc, l2b
 }

@@ -14,6 +14,11 @@
 #   go test      all packages, race detector on, shuffled execution
 #                order (-shuffle=on) so order-dependent tests cannot
 #                hide behind file ordering
+#   perfbench    the benchmark module's own tests (cd perfbench && go
+#   smoke        test ./...): tiny runs of all four workloads, every
+#                output checked against perfbench/digests.json, so a
+#                break in bit-identity on the benchmark path fails here
+#                and not only when the benchmark runs
 #   trace smoke  charnet -trace-out on a real driver, validated by
 #                cmd/tracecheck, with stdout checked byte-identical to an
 #                untraced run (the observability determinism contract)
@@ -70,6 +75,9 @@ go test -race -shuffle=on ./...
 
 echo "== bench smoke (compile + one iteration)"
 go test -run=NONE -bench=. -benchtime=1x ./... > /dev/null
+
+echo "== perfbench smoke (tiny runs of every workload against recorded digests)"
+(cd perfbench && go test ./...)
 
 echo "== trace smoke (charnet -trace-out + tracecheck + stdout equivalence)"
 tracedir="$workdir/trace"
