@@ -203,12 +203,12 @@ func (p *Predictor) FlushRange(start, size uint64) {
 	}
 }
 
-// Reset returns the predictor to the state New gives it: weakly
-// not-taken counters, empty history and BTB, zero stats.
+// Reset returns the predictor to a state that behaves as New's: weakly
+// not-taken counters, empty history and BTB, zero stats. Like Flush it
+// leaves the BTB timestamps and MRU hints, which no lookup or fill reads
+// in an empty way.
 func (p *Predictor) Reset() {
 	p.Flush()
-	clear(p.btbTS)
-	clear(p.btbMRU)
 	p.btbClock = 0
 	p.Stats = Stats{}
 }

@@ -167,3 +167,26 @@ func TestConstructorValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestResetBehavesNew drives a used-then-reset predictor and a new one
+// with the same branch stream: every prediction and the stats must agree.
+func TestResetBehavesNew(t *testing.T) {
+	used := New(10, 256, 4)
+	r := rng.New(5)
+	for i := 0; i < 5000; i++ {
+		used.Predict(uint64(r.Intn(1<<14))*4, r.Bool(0.6))
+	}
+	used.Reset()
+	fresh := New(10, 256, 4)
+	for i := 0; i < 5000; i++ {
+		pc, taken := uint64(r.Intn(1<<14))*4, r.Bool(0.6)
+		d1, b1 := used.Predict(pc, taken)
+		d2, b2 := fresh.Predict(pc, taken)
+		if d1 != d2 || b1 != b2 {
+			t.Fatalf("branch %d: reset predictor (%v, %v), new (%v, %v)", i, d1, b1, d2, b2)
+		}
+	}
+	if used.Stats != fresh.Stats {
+		t.Fatalf("stats %+v, want %+v", used.Stats, fresh.Stats)
+	}
+}

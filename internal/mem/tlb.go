@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/machine"
 )
@@ -178,133 +179,154 @@ func (t *TLB) Warm(addr uint64) {
 	}
 }
 
-// WarmRange warms every page of [start, end), equivalent to calling Warm
-// at start, start+pageSize, ... while below end — the shape of every
-// prewarm loop. The page count matches that loop even for unaligned
-// bounds: advancing by one page advances the VPN by exactly one.
-func (t *TLB) WarmRange(start, end uint64) {
+// pageRun is n consecutive pages from VPN v0.
+type pageRun struct{ v0, n uint64 }
+
+// pages returns the run of pages Warm would install when called at start,
+// start+pageSize, ... while below end. The count matches that loop even
+// for unaligned bounds: advancing by one page advances the VPN by one.
+func (t *TLB) pages(start, end uint64) pageRun {
 	if end <= start {
-		return
+		return pageRun{}
 	}
-	pageSize := uint64(1) << t.pageBits
-	n := (end - start + pageSize - 1) >> t.pageBits
-	v0 := start >> t.pageBits
-	t.bulkInsert(v0, n)
-	if t.next != nil {
-		t.next.bulkInsert(v0, n)
-	}
+	return pageRun{start >> t.pageBits, (end - start + 1<<t.pageBits - 1) >> t.pageBits}
 }
 
-// bulkInsert installs VPNs v0, v0+1, ..., v0+n-1 with exactly the state
-// transitions of n sequential insert calls, processed set-major: one
-// snapshot per set instead of one victim scan per page.
+// insertRuns installs the pages of runs, in order, with exactly the state
+// transitions of one insert call per page, processed set-major.
 //
 // Inserts never check presence (duplicate translations are allowed, as in
 // the per-page path), so every insert fills, and the victim sequence of a
-// set is fixed by its snapshot: empty ways in way order, then the valid
-// entries oldest-first, then — because each fill's timestamp exceeds all
-// earlier ones — the same sequence cycles. Insert i gets ts clock+i+1;
-// consecutive VPNs round-robin sets, so set (v0+k)&mask takes inserts
-// k, k+sets, k+2*sets, ...
-func (t *TLB) bulkInsert(v0, n uint64) {
-	if n == 0 {
+// set is fixed by its state before the batch: empty ways in way order,
+// then the valid entries oldest-first, then — because each fill's
+// timestamp exceeds all earlier ones — the same sequence again. The j-th
+// of a set's m fills lands in sequence position j mod ways, so only its
+// last min(m, ways) fills survive, and only those are written; an empty
+// set's sequence is its way order and needs no snapshot. Insert i of the
+// batch gets ts clock+i+1, and consecutive VPNs round-robin sets, so set
+// s takes the pages v0+k of a run with k ≡ s-v0 (mod sets).
+func (t *TLB) insertRuns(runs []pageRun) {
+	var total uint64
+	for _, r := range runs {
+		total += r.n
+	}
+	if total == 0 {
 		return
 	}
-	if t.ways > maxBulkWays {
-		// Very wide (fully associative) geometry: scratch would not fit;
-		// keep the per-page path.
-		for i := uint64(0); i < n; i++ {
-			t.insert(v0 + i)
+	setBits := uint(bits.TrailingZeros(uint(t.sets)))
+	// fills is the number of pages of r that map to set s.
+	fills := func(r pageRun, s uint64) uint64 {
+		c := r.n >> setBits
+		if (s-r.v0)&t.setMask < r.n&t.setMask {
+			c++
 		}
-		return
+		return c
 	}
-	sets := uint64(t.sets)
 	ways := t.ways
-	mFull, mRem := n/sets, n%sets
-	cnt := n
-	if cnt > sets {
-		cnt = sets
-	}
-	clockBase := t.clock
-	var order [maxBulkWays]int32
-	var ots [maxBulkWays]uint64
-	for k := uint64(0); k < cnt; k++ {
-		s := (v0 + k) & t.setMask
-		m := mFull
-		if k < mRem {
-			m++
+	var buf [maxBulkWays]int32
+	var order []int32 // victim sequence of a set that holds entries
+	for s := uint64(0); s <= t.setMask; s++ {
+		var m uint64
+		for _, r := range runs {
+			m += fills(r, s)
 		}
 		if m == 0 {
 			continue
 		}
 		base := int(s) * ways
-		// Victim sequence sigma: empties in way order, then valid entries
-		// sorted by timestamp (strictly increasing among valid entries, so
-		// the order is total and matches fillSet's oldest-first scan).
-		e0 := 0
-		nPre := 0
-		for w := 0; w < ways; w++ {
-			if t.tags[base+w] == 0 {
-				order[e0] = int32(w)
-				e0++
-			} else {
-				nPre++
-			}
-		}
-		pre := order[e0 : e0+nPre]
-		p := 0
+		empty := true
 		for w := 0; w < ways; w++ {
 			if t.tags[base+w] != 0 {
-				ts := t.ts[base+w]
-				q := p
-				for q > 0 && ots[q-1] > ts {
-					pre[q] = pre[q-1]
-					ots[q] = ots[q-1]
-					q--
+				empty = false
+				break
+			}
+		}
+		if !empty {
+			if order == nil {
+				order = buf[:]
+				if ways > len(buf) {
+					order = make([]int32, ways)
 				}
-				pre[q] = int32(w)
-				ots[q] = ts
-				p++
+			}
+			t.victimOrder(base, order[:ways])
+		}
+		// Write the survivors, last fill first: fill m-1 takes sequence
+		// position (m-1) mod ways and becomes MRU, each earlier fill takes
+		// the position before.
+		way := func(pos int) int32 {
+			if empty {
+				return int32(pos)
+			}
+			return order[pos]
+		}
+		pos := int((m - 1) % uint64(ways))
+		t.mru[s] = way(pos)
+		left := min(m, uint64(ways))
+		end := total // batch index one past the current run
+		for ri := len(runs) - 1; left > 0; ri-- {
+			r := runs[ri]
+			end -= r.n
+			c := fills(r, s)
+			if c == 0 {
+				continue
+			}
+			k := (s-r.v0)&t.setMask + (c-1)<<setBits // the run's last page in s
+			for ; c > 0 && left > 0; c-- {
+				w := way(pos)
+				t.tags[base+int(w)] = (r.v0+k)<<1 | 1
+				t.ts[base+int(w)] = t.clock + end + k + 1
+				k -= uint64(t.sets)
+				left--
+				if pos == 0 {
+					pos = ways
+				}
+				pos--
 			}
 		}
-		vpn := v0 + k
-		idx := k
-		pop := 0
-		var w int32
-		for tt := uint64(0); tt < m; tt++ {
-			if pop == ways {
-				pop = 0
-			}
-			w = order[pop]
-			pop++
-			i := base + int(w)
-			t.tags[i] = vpn<<1 | 1
-			t.ts[i] = clockBase + idx + 1
-			vpn += sets
-			idx += sets
-		}
-		t.mru[s] = w
 	}
-	t.clock = clockBase + n
+	t.clock += total
 }
 
-// Flush invalidates all entries (and the second level, when private),
-// modeling address-space churn after JIT page remapping.
+// victimOrder writes the victim sequence of the set at base into order:
+// its empty ways in way order, then its valid ways oldest first (valid
+// timestamps are distinct, so this is fillSet's choice at each step).
+func (t *TLB) victimOrder(base int, order []int32) {
+	e := 0
+	for w := range order {
+		if t.tags[base+w] == 0 {
+			order[e] = int32(w)
+			e++
+		}
+	}
+	n := e
+	for w := range order {
+		if t.tags[base+w] == 0 {
+			continue
+		}
+		ts := t.ts[base+w]
+		q := n
+		for q > e && t.ts[base+int(order[q-1])] > ts {
+			order[q] = order[q-1]
+			q--
+		}
+		order[q] = int32(w)
+		n++
+	}
+}
+
+// Flush invalidates all entries of this level, modeling address-space
+// churn after JIT page remapping; TLBSet.Flush flushes every level once.
+// Timestamps and MRU hints of empty ways are never read, so they stay.
 func (t *TLB) Flush() {
-	for i := range t.tags {
-		t.tags[i] = 0
-	}
-	if t.next != nil {
-		t.next.Flush()
-	}
+	clear(t.tags)
 }
 
-// Reset returns the TLB to the state NewTLB gives it: empty, clock 0,
-// zero stats. The second level is left alone; TLBSet.Reset resets it.
+// Reset returns the TLB to a state that behaves as NewTLB's: empty,
+// clock 0, zero stats. Like Flush it leaves the timestamps and MRU hints,
+// which no lookup or fill reads in an empty way. The second level is left
+// alone; TLBSet.Reset resets it.
 func (t *TLB) Reset() {
 	clear(t.tags)
-	clear(t.ts)
-	clear(t.mru)
 	t.clock = 0
 	t.Stats = TLBStats{}
 }
@@ -321,6 +343,16 @@ func (t *TLB) ResetStats() {
 type TLBSet struct {
 	ITLB, DTLB *TLB
 	STLB       *TLB
+
+	iRuns, dRuns, sRuns []pageRun // WarmRanges scratch
+}
+
+// TLBRange is a range of addresses [Start, End) whose pages
+// TLBSet.WarmRanges installs: through the I-TLB when Code is set, else
+// through the D-TLB.
+type TLBRange struct {
+	Start, End uint64
+	Code       bool
 }
 
 // NewTLBSet builds I-TLB and D-TLB backed by a shared unified STLB from a
@@ -334,7 +366,29 @@ func NewTLBSet(cfg *machine.Config) *TLBSet {
 	}
 }
 
-// Flush invalidates everything.
+// WarmRanges installs the pages of each range, in order, leaving exactly
+// the state of Warm called on the range's first level at Start,
+// Start+pageSize, ... below End: each first level takes its own ranges and
+// the STLB takes every page of both sides, interleaved in range order.
+// Each TLB handles its share as one batch (see insertRuns).
+func (s *TLBSet) WarmRanges(ranges []TLBRange) {
+	i, d, all := s.iRuns[:0], s.dRuns[:0], s.sRuns[:0]
+	for _, r := range ranges {
+		if r.Code {
+			run := s.ITLB.pages(r.Start, r.End)
+			i, all = append(i, run), append(all, run)
+		} else {
+			run := s.DTLB.pages(r.Start, r.End)
+			d, all = append(d, run), append(all, run)
+		}
+	}
+	s.ITLB.insertRuns(i)
+	s.DTLB.insertRuns(d)
+	s.STLB.insertRuns(all)
+	s.iRuns, s.dRuns, s.sRuns = i, d, all
+}
+
+// Flush invalidates every level once.
 func (s *TLBSet) Flush() {
 	s.ITLB.Flush()
 	s.DTLB.Flush()

@@ -73,8 +73,18 @@ func TestTLBFlush(t *testing.T) {
 	set.ITLB.Lookup(0x1000)
 	set.DTLB.Lookup(0x2000)
 	set.Flush()
+	for _, tl := range []*TLB{set.ITLB, set.DTLB, set.STLB} {
+		for i, tag := range tl.tags {
+			if tag != 0 {
+				t.Fatalf("%s way %d holds %#x after Flush", tl.name, i, tag)
+			}
+		}
+	}
 	if set.ITLB.Lookup(0x1000) || set.DTLB.Lookup(0x2000) {
 		t.Fatal("flushed TLB should miss")
+	}
+	if set.ITLB.Stats.Misses != 2 || set.DTLB.Stats.Misses != 2 {
+		t.Fatalf("flushed lookups must walk: ITLB %+v, DTLB %+v", set.ITLB.Stats, set.DTLB.Stats)
 	}
 }
 

@@ -9,7 +9,10 @@
 // with excellent statistical quality and no global state.
 package rng
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // splitmix64 advances the given state and returns the next output.
 // It is used to expand a single 64-bit seed into the 256-bit xoshiro state.
@@ -103,15 +106,42 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns true with probability p.
-func (r *Rand) Bool(p float64) bool {
-	if p <= 0 {
-		return false
+// Bool returns true with probability p: Float64() < p, except that p <= 0
+// and p >= 1 draw nothing. It is r.Hit(P(p)); code that draws against the
+// same p many times should compute P(p) once and call Hit.
+func (r *Rand) Bool(p float64) bool { return r.Hit(P(p)) }
+
+// Prob is a Bernoulli probability precomputed for Hit. Above zero it is
+// one more than a threshold on the 53 bits Float64 uses; the zero value is
+// probability 0.
+type Prob uint64
+
+// probAlways is p >= 1: true without a draw.
+const probAlways Prob = 1<<53 + 1
+
+// P returns the Prob that makes Hit decide exactly as Bool(p). Float64 is
+// k/2^53 for the draw's top 53 bits k, and scaling by 2^53 is exact, so
+// k/2^53 < p holds exactly when k < ceil(p*2^53). A NaN p keeps Bool's
+// draw and, like Float64() < NaN, is never hit: its threshold is 0.
+func P(p float64) Prob {
+	switch {
+	case p <= 0:
+		return 0
+	case p >= 1:
+		return probAlways
+	case math.IsNaN(p):
+		return 1
 	}
-	if p >= 1 {
-		return true
+	return Prob(math.Ceil(p*(1<<53))) + 1
+}
+
+// Hit returns true with the probability t was computed from (see P). It
+// draws from r exactly when Bool would and returns what Bool returns.
+func (r *Rand) Hit(t Prob) bool {
+	if t-1 >= 1<<53 { // 0 or probAlways: no draw
+		return t == probAlways
 	}
-	return r.Float64() < p
+	return r.Uint64()>>11 < uint64(t-1)
 }
 
 // NormFloat64 returns a standard normal variate via the Box–Muller
@@ -186,21 +216,22 @@ func (r *Rand) Geometric(p float64) int {
 	return int(math.Log(u) / math.Log(1-p))
 }
 
-// Zipf returns a value in [0, n) with a Zipfian distribution of exponent s.
-// Small n only (linear-time inverse CDF); used to pick hot code pages and
-// hot heap regions where skewed popularity matters.
+// Zipf is a Zipfian distribution over [0, n) with exponent s, sampled by
+// binary search over its cumulative table; used to pick hot code pages and
+// hot heap regions where skewed popularity matters. The zero value is
+// empty: call Init before Next. Next only reads the table, so one Zipf can
+// serve any number of generators.
 type Zipf struct {
 	cdf []float64
-	r   *Rand
 }
 
-// NewZipf builds a Zipf sampler over [0, n) with exponent s >= 0.
-// s == 0 degenerates to uniform.
-func NewZipf(r *Rand, n int, s float64) *Zipf {
+// Init makes z the distribution over [0, n) with exponent s >= 0, reusing
+// z's table storage; s == 0 degenerates to uniform.
+func (z *Zipf) Init(n int, s float64) {
 	if n <= 0 {
-		panic("rng: NewZipf called with n <= 0")
+		panic("rng: Zipf.Init called with n <= 0")
 	}
-	cdf := make([]float64, n)
+	cdf := slices.Grow(z.cdf[:0], n)[:n]
 	sum := 0.0
 	for i := 0; i < n; i++ {
 		sum += 1 / math.Pow(float64(i+1), s)
@@ -209,12 +240,12 @@ func NewZipf(r *Rand, n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf, r: r}
+	z.cdf = cdf
 }
 
-// Next returns the next Zipf-distributed value.
-func (z *Zipf) Next() int {
-	u := z.r.Float64()
+// Next draws the next Zipf-distributed value from r.
+func (z *Zipf) Next(r *Rand) int {
+	u := r.Float64()
 	// Binary search for the first cdf entry >= u.
 	lo, hi := 0, len(z.cdf)-1
 	for lo < hi {

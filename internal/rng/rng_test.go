@@ -251,10 +251,11 @@ func TestBoolEdges(t *testing.T) {
 
 func TestZipfSkew(t *testing.T) {
 	r := New(21)
-	z := NewZipf(r, 100, 1.0)
+	var z Zipf
+	z.Init(100, 1.0)
 	counts := make([]int, 100)
 	for i := 0; i < 100000; i++ {
-		counts[z.Next()]++
+		counts[z.Next(r)]++
 	}
 	if counts[0] <= counts[50] {
 		t.Fatalf("Zipf(1.0) should strongly favor rank 0: c0=%d c50=%d", counts[0], counts[50])
@@ -268,10 +269,12 @@ func TestZipfSkew(t *testing.T) {
 
 func TestZipfUniformDegenerate(t *testing.T) {
 	r := New(22)
-	z := NewZipf(r, 10, 0)
+	var z Zipf
+	z.Init(1000, 2) // a larger table first: Init must reuse it cleanly
+	z.Init(10, 0)
 	counts := make([]int, 10)
 	for i := 0; i < 100000; i++ {
-		counts[z.Next()]++
+		counts[z.Next(r)]++
 	}
 	for i, c := range counts {
 		if math.Abs(float64(c)-10000) > 500 {
@@ -296,4 +299,66 @@ func TestPermIsPermutation(t *testing.T) {
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// boolRef is Bool's definition: no draw for p <= 0 or p >= 1, else one
+// Float64 draw compared against p.
+func boolRef(r *Rand, p float64) bool {
+	if p <= 0 {
+		return false
+	}
+	if p >= 1 {
+		return true
+	}
+	return r.Float64() < p
+}
+
+// checkHitMatchesBool requires Hit(P(p)) to decide as boolRef over a run
+// of draws and leave the generator in the same state. When P(p) is a
+// threshold it also checks the boundary itself: the largest hitting draw
+// and the smallest missing one, which random draws almost never reach.
+func checkHitMatchesBool(t *testing.T, seed uint64, p float64) {
+	t.Helper()
+	a, b := New(seed), New(seed)
+	prob := P(p)
+	for i := 0; i < 64; i++ {
+		if got, want := a.Hit(prob), boolRef(b, p); got != want {
+			t.Fatalf("p=%v draw %d: Hit %v, Float64() < p %v", p, i, got, want)
+		}
+	}
+	if a.s != b.s {
+		t.Fatalf("p=%v: generator states diverged", p)
+	}
+	if thr := uint64(prob) - 1; prob > 1 && prob <= 1<<53 {
+		if !(float64(thr-1)/(1<<53) < p) || float64(thr)/(1<<53) < p {
+			t.Fatalf("p=%v: threshold %d is not the boundary of Float64() < p", p, thr)
+		}
+	}
+}
+
+// TestHitMatchesBool checks P and Hit on Bool's no-draw cases, NaN, the
+// extremes of the open interval and the engine's constant probabilities.
+func TestHitMatchesBool(t *testing.T) {
+	for _, p := range []float64{
+		0, math.Copysign(0, -1), -0.5, 1, 1.5, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, 0x1p-53, 1 - 0x1p-53, 0.5,
+		0.06, 0.08, 0.9, 0.18,
+	} {
+		checkHitMatchesBool(t, 7, p)
+	}
+	r := New(1)
+	if r.Hit(P(0)) || !r.Hit(P(1)) || r.Hit(Prob(0)) {
+		t.Fatal("P(0) and the zero Prob must miss, P(1) must hit")
+	}
+	if r.s != New(1).s {
+		t.Fatal("P(0), P(1) and the zero Prob must not draw")
+	}
+}
+
+// FuzzHitMatchesBool checks Hit(P(p)) against Bool's definition for any
+// probability and generator seed.
+func FuzzHitMatchesBool(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, p float64) {
+		checkHitMatchesBool(t, seed, p)
+	})
 }

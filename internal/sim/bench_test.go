@@ -40,25 +40,37 @@ func BenchmarkRunMultiCore(b *testing.B) {
 	benchRun(b, workload.AspNetWorkloads(), "Json", Options{Instructions: 10000, Cores: 4})
 }
 
-// BenchmarkRunReuse is BenchmarkRunManaged on one warmed Runner: reset in
+// benchReuse runs one workload repeatedly on a warmed Runner (reset in
 // place instead of a new machine, the per-workload cost a suite
-// measurement pays.
-func BenchmarkRunReuse(b *testing.B) {
-	p, ok := workload.ByName(workload.DotNetCategories(), "System.Runtime")
+// measurement pays) and reports the time per simulated instruction.
+func benchReuse(b *testing.B, suite []workload.Profile, name string, opts Options) {
+	p, ok := workload.ByName(suite, name)
 	if !ok {
-		b.Fatal("workload System.Runtime not found")
+		b.Fatalf("workload %q not found", name)
 	}
 	m := machine.CoreI9()
-	opts := Options{Instructions: 10000}
 	var r Runner
-	if _, err := r.Run(p, m, opts); err != nil {
+	res, err := r.Run(p, m, opts)
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(p, m, opts); err != nil {
+		if res, err = r.Run(p, m, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(res.Counters.Instructions), "ns/instr")
+}
+
+// BenchmarkRunReuse is BenchmarkRunManaged on one warmed Runner.
+func BenchmarkRunReuse(b *testing.B) {
+	benchReuse(b, workload.DotNetCategories(), "System.Runtime", Options{Instructions: 10000})
+}
+
+// BenchmarkRunReuseAspNet16 is the 16-core ASP.NET Json run at the Quick
+// budget on one warmed Runner: the case that dominates a cold Table IV.
+func BenchmarkRunReuseAspNet16(b *testing.B) {
+	benchReuse(b, workload.AspNetWorkloads(), "Json", Options{Instructions: 6000})
 }

@@ -109,10 +109,8 @@ func pcHash(pc uint64) float64 {
 
 // core is the per-core simulation state.
 type core struct {
-	id    int
-	r     *rng.Rand
-	dzipf *rng.Zipf // warm-data bucket popularity
-	mzipf *rng.Zipf // method popularity (flatter)
+	id int
+	r  *rng.Rand
 
 	l1i, l1d, l2 *mem.Cache
 	l3           *mem.Cache // private LLC (nil when shared)
@@ -162,14 +160,16 @@ type engine struct {
 	kernelAddrs []uint64
 	kernelSizes []int
 
+	// Popularity tables, shared read-only by the cores (each draws from
+	// its own generator).
+	dzipf *rng.Zipf // warm-data bucket popularity
+	mzipf *rng.Zipf // method popularity (flatter)
+
 	// Derived parameters.
-	pKernelEnter float64
-	jitChurn     float64 // per-instruction probability of new code paths
-	dsbShare     float64
-	coldFrac     float64 // cold-data tier share of random accesses
-	allocRate    float64 // real allocation bytes per instruction
-	residualPF   float64 // per-instruction residual page-fault probability
-	allocScale   float64
+	dsbShare   float64
+	coldFrac   float64 // cold-data tier share of random accesses
+	allocRate  float64 // real allocation bytes per instruction
+	allocScale float64
 
 	// Nursery window in real (uncompressed) bytes: the span of fresh
 	// allocation addresses since the last collection. GC compaction resets
@@ -199,9 +199,25 @@ type engine struct {
 	thrCold    float64 // p.SequentialFrac + (1-p.SequentialFrac)*coldFrac
 	l1HitStall float64 // 0.15 + (1-p.ILP)*1.3
 	aluStall   float64 // (1-p.ILP)*0.18
-	pException float64 // p.ExceptionPKI / 1000
-	pContend   float64 // p.ContentionPKI / 1000
 	ipageBytes uint64  // I-TLB page granularity (2 MiB under huge-page code)
+
+	// Thresholds (rng.P) of the per-instruction Bernoulli draws, named for
+	// the event each decides. Hit on one draws and decides exactly as Bool
+	// on its probability.
+	hitKernelEnter rng.Prob // enter a kernel episode
+	hitKernelSeq   rng.Prob // 0.9: a kernel data access is sequential
+	hitPrefetch    rng.Prob // m.PrefetchQuality: a next-line prefetch issues
+	hitUselessI    rng.Prob // 0.06: an issued code prefetch is useless
+	hitUselessD    rng.Prob // 0.08: an issued data prefetch is useless
+	hitFollowBias  rng.Prob // p.BranchPredictability
+	hitMispredict  rng.Prob // 1 - p.BranchPredictability
+	hitMissColdBTB rng.Prob // the same, at least 0.18 (an untrained site)
+	hitMicrocode   rng.Prob // p.MicrocodeFrac
+	hitDivide      rng.Prob // p.DivFrac
+	hitResidualPF  rng.Prob // a residual page fault
+	hitJITChurn    rng.Prob // a new code path appears
+	hitException   rng.Prob // p.ExceptionPKI / 1000
+	hitContend     rng.Prob // p.ContentionPKI / 1000
 
 	// Cached data-region layout: regionSpan() and per-core bases only
 	// change when the no-compaction ablation grows survivorsReal, so the
@@ -256,7 +272,7 @@ func (e *engine) setup(rn *Runner) error {
 	}
 	// Residual steady-state fault rate: fresh buffers/LOH pages, roughly
 	// half a page per 2x page-size of allocation.
-	e.residualPF = e.allocRate / pageBytes / 2
+	e.hitResidualPF = rng.P(e.allocRate / pageBytes / 2)
 
 	if e.p.Managed {
 		e.log = &clr.EventLog{}
@@ -302,14 +318,15 @@ func (e *engine) setup(rn *Runner) error {
 			return err
 		}
 		e.heap = heap
-		e.jitChurn = 0.008 / 1000 // new code paths per instruction
+		jitChurn := 0.008 / 1000 // new code paths per instruction
 		if e.p.Suite == workload.AspNet {
-			e.jitChurn = 0.03 / 1000
+			jitChurn = 0.03 / 1000
 		}
 		// An immature runtime regenerates code more often (§V-D).
 		if e.m.StackFriction > 1 {
-			e.jitChurn *= 1 + (e.m.StackFriction-1)/2
+			jitChurn *= 1 + (e.m.StackFriction-1)/2
 		}
+		e.hitJITChurn = rng.P(jitChurn)
 	} else {
 		// Static native code layout: methods laid out contiguously once,
 		// identically across runs of the same binary.
@@ -335,8 +352,9 @@ func (e *engine) setup(rn *Runner) error {
 	// Kernel episodes average ~140 instructions; solve the entry
 	// probability that yields the profile's kernel share.
 	const episodeLen = 140.0
+	var pKernelEnter float64
 	if e.p.KernelFrac > 0 && e.p.KernelFrac < 1 {
-		e.pKernelEnter = e.p.KernelFrac / (1 - e.p.KernelFrac) / episodeLen
+		pKernelEnter = e.p.KernelFrac / (1 - e.p.KernelFrac) / episodeLen
 	}
 
 	// DSB coverage shrinks as hot code outgrows the uop cache (~32 KiB of
@@ -378,8 +396,6 @@ func (e *engine) setup(rn *Runner) error {
 	e.thrCold = e.p.SequentialFrac + (1-e.p.SequentialFrac)*e.coldFrac
 	e.l1HitStall = 0.15 + (1-e.p.ILP)*1.3
 	e.aluStall = (1 - e.p.ILP) * 0.18
-	e.pException = e.p.ExceptionPKI / 1000
-	e.pContend = e.p.ContentionPKI / 1000
 	e.ipageBytes = pageBytes
 	if e.opts.Assist.HugePageCode && e.p.Managed {
 		e.ipageBytes = 2 << 20
@@ -388,25 +404,44 @@ func (e *engine) setup(rn *Runner) error {
 	e.coreBases = rn.coreBases
 	e.refreshDataLayout()
 
+	e.hitKernelEnter = rng.P(pKernelEnter)
+	e.hitKernelSeq = rng.P(0.9)
+	e.hitPrefetch = rng.P(e.m.PrefetchQuality)
+	e.hitUselessI = rng.P(0.06)
+	e.hitUselessD = rng.P(0.08)
+	e.hitFollowBias = rng.P(e.p.BranchPredictability)
+	pMiss := 1 - e.p.BranchPredictability
+	e.hitMispredict = rng.P(pMiss)
+	// A cold site's direction state is untrained too.
+	if pMiss < 0.18 {
+		pMiss = 0.18
+	}
+	e.hitMissColdBTB = rng.P(pMiss)
+	e.hitMicrocode = rng.P(e.p.MicrocodeFrac)
+	e.hitDivide = rng.P(e.p.DivFrac)
+	e.hitException = rng.P(e.p.ExceptionPKI / 1000)
+	e.hitContend = rng.P(e.p.ContentionPKI / 1000)
+
 	// On an immature stack the JIT lacks hot-path tiering and profile-
 	// guided layout, so execution spreads across far more code (§V-D).
 	methodZipf := e.p.MethodZipf
 	if e.p.Managed && e.m.StackFriction > 2 {
 		methodZipf *= 0.45
 	}
+	rn.dzipf.Init(dataBuckets, e.p.DataZipf)
+	rn.mzipf.Init(dataBuckets, methodZipf)
+	e.dzipf, e.mzipf = &rn.dzipf, &rn.mzipf
 	for i := 0; i < n; i++ {
 		r := rng.NewFrom(e.p.Seed(), rng.HashString(e.m.Name), e.opts.SeedSalt, uint64(100+i))
 		c := rn.core(i)
 		*c = core{
-			id:    i,
-			r:     r,
-			dzipf: rng.NewZipf(r, dataBuckets, e.p.DataZipf),
-			mzipf: rng.NewZipf(r, dataBuckets, methodZipf),
-			l1i:   c.l1i,
-			l1d:   c.l1d,
-			l2:    c.l2,
-			tlbs:  c.tlbs,
-			bp:    c.bp,
+			id:   i,
+			r:    r,
+			l1i:  c.l1i,
+			l1d:  c.l1d,
+			l2:   c.l2,
+			tlbs: c.tlbs,
+			bp:   c.bp,
 		}
 		if e.sharedLLC == nil {
 			c.l3 = rn.privateLLC()
@@ -479,7 +514,7 @@ func (e *engine) regionSpan() int64 {
 // count exceeds the bucket count), permuted so hot groups scatter across
 // the code region.
 func (e *engine) hotMethod(c *core, n int) int {
-	b := c.mzipf.Next()
+	b := e.mzipf.Next(c.r)
 	group := (b*2654435761 + c.id*977) % n
 	g := n / dataBuckets
 	if g < 1 {

@@ -42,11 +42,11 @@ func (e *engine) step(c *core) {
 	if inKernel {
 		cc.KernelInstructions++
 		c.kernelIn--
-	} else if e.pKernelEnter > 0 && c.r.Bool(e.pKernelEnter) {
+	} else if c.r.Hit(e.hitKernelEnter) {
 		c.kernelIn = 70 + c.r.Intn(140)
 		// Hot syscall paths dominate (read/write/epoll for the network
 		// stack), with a long tail of colder entry points.
-		c.kernelMeth = (c.mzipf.Next() * 2246822519) % kernelMethods
+		c.kernelMeth = (e.mzipf.Next(c.r) * 2246822519) % kernelMethods
 		c.kernelPC = e.kernelAddrs[c.kernelMeth]
 		c.kernelEnd = c.kernelPC + uint64(e.kernelSizes[c.kernelMeth])
 	}
@@ -184,10 +184,10 @@ func (e *engine) ifetch(c *core, pc uint64) {
 	// observation that JITed pages are prefetchable but prefetchers do not
 	// cross into fresh pages.
 	next := pc + lineBytes
-	if next/pageBytes == pc/pageBytes && c.r.Bool(e.m.PrefetchQuality) {
+	if next/pageBytes == pc/pageBytes && c.r.Hit(e.hitPrefetch) {
 		c.l1i.Insert(next)
 		cc.UsefulPrefetches++
-		if c.r.Bool(0.06) {
+		if c.r.Hit(e.hitUselessI) {
 			cc.UselessPrefetches++
 		}
 	}
@@ -227,20 +227,17 @@ func (e *engine) execBranch(c *core, pc uint64) {
 	// the bias with the profile's predictability.
 	bias := pcHash(pc^0xabcdef1234567) < e.p.TakenFrac
 	outcome := bias
-	if !c.r.Bool(e.p.BranchPredictability) {
+	if !c.r.Hit(e.hitFollowBias) {
 		outcome = !outcome
 	}
 	_, btbHit := c.bp.Predict(pc, outcome)
 
-	pMiss := 1 - e.p.BranchPredictability
+	miss := e.hitMispredict
 	if outcome && !btbHit {
 		cc.BTBMisses++
-		// Cold site: direction state is untrained too.
-		if pMiss < 0.18 {
-			pMiss = 0.18
-		}
+		miss = e.hitMissColdBTB
 	}
-	if c.r.Bool(pMiss) {
+	if c.r.Hit(miss) {
 		cc.BranchMisses++
 		// 15-cycle flush: wrong-path slots are bad speculation, the
 		// refetch latency is a frontend re-steer.
@@ -272,7 +269,7 @@ func (e *engine) dataAddress(c *core, inKernel bool) (addr uint64, sequential bo
 		// Kernel buffers: hot, mostly sequential copies (network stack
 		// skbs and socket buffers cycle through a small region).
 		kbase := kernelDataBase + uint64(c.id)<<20
-		if c.r.Bool(0.9) {
+		if c.r.Hit(e.hitKernelSeq) {
 			c.seqAddr += 8
 			return kbase + (c.seqAddr & 0xffff), true
 		}
@@ -306,7 +303,7 @@ func (e *engine) dataAddress(c *core, inKernel bool) (addr uint64, sequential bo
 	if bucketSize < lineBytes {
 		bucketSize = lineBytes
 	}
-	bucket := c.dzipf.Next()
+	bucket := e.dzipf.Next(c.r)
 	off := uint64(bucket)*uint64(bucketSize) + uint64(c.r.Intn(int(bucketSize)))
 	if off >= uint64(span) {
 		off = uint64(span) - 1
@@ -370,11 +367,11 @@ func (e *engine) execLoad(c *core, inKernel bool) {
 	// Hardware prefetch on sequential streams, stopping at page edges.
 	if sequential {
 		next := addr + lineBytes
-		if next/pageBytes == addr/pageBytes && c.r.Bool(e.m.PrefetchQuality) {
+		if next/pageBytes == addr/pageBytes && c.r.Hit(e.hitPrefetch) {
 			c.l1d.Insert(next)
 			c.l2.Insert(next)
 			cc.UsefulPrefetches++
-			if c.r.Bool(0.08) {
+			if c.r.Hit(e.hitUselessD) {
 				cc.UselessPrefetches++
 			}
 		}
@@ -432,12 +429,12 @@ func (e *engine) execStore(c *core, inKernel bool) {
 func (e *engine) execALU(c *core) {
 	width := e.width
 	cc := &c.c
-	if c.r.Bool(e.p.MicrocodeFrac) {
+	if c.r.Hit(e.hitMicrocode) {
 		// Microcode sequencer switch.
 		cc.Cycles += 2.5
 		cc.Slots.FEMSSwitch += 2.5 * width
 	}
-	if c.r.Bool(e.p.DivFrac) {
+	if c.r.Hit(e.hitDivide) {
 		cc.Cycles += 8
 		cc.Slots.BEDivider += 8 * width
 	}

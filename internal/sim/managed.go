@@ -46,7 +46,7 @@ func (e *engine) managedStep(c *core) {
 		}
 	}
 	// Residual page faults: fresh buffers and heap growth.
-	if c.r.Bool(e.residualPF) {
+	if c.r.Hit(e.hitResidualPF) {
 		cc.PageFaults++
 		handler := uint64(450)
 		cc.Instructions += handler
@@ -59,19 +59,19 @@ func (e *engine) managedStep(c *core) {
 
 	// JIT churn: new code paths appear over time (tier-up is handled by
 	// the JIT itself at call sites).
-	if e.jitChurn > 0 && c.r.Bool(e.jitChurn) {
+	if c.r.Hit(e.hitJITChurn) {
 		e.jit.Invalidate(c.r.Intn(e.jit.MethodCount()))
 		e.switchMethod(c)
 	}
 
-	if c.r.Bool(e.pException) {
+	if c.r.Hit(e.hitException) {
 		e.log.Emit(clr.EvException, uint64(cc.Cycles))
 		// Exception dispatch: microcoded unwinding plus a kernel episode.
 		cc.Cycles += 120
 		cc.Slots.FEMSSwitch += 120 * width
 		c.kernelIn += 160
 	}
-	if c.r.Bool(e.pContend) {
+	if c.r.Hit(e.hitContend) {
 		e.log.Emit(clr.EvContention, uint64(cc.Cycles))
 		cc.Cycles += 180
 		cc.Slots.BEPortsUtil += 180 * width

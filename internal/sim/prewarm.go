@@ -1,5 +1,7 @@
 package sim
 
+import "repro/internal/mem"
+
 // prewarm installs the steady-state-resident lines and translations into
 // the memory hierarchy before measurement. The paper measures long-warm
 // processes (15 repetitions with the first discarded; ASP.NET warmed until
@@ -9,9 +11,10 @@ package sim
 // Ranges are batched per cache and handed over with one InsertRanges call
 // each. Every cache has just been reset, so the call only records the
 // batch, and each set replays its share when the run first touches it.
-// Batching only reorders inserts across *distinct* caches and TLBs, which
-// share no state; each structure still sees its ranges in original order.
-// The range lists are rn's scratch.
+// A core's TLB ranges go to its TLBSet as one batch too. Batching only
+// reorders inserts across *distinct* caches and TLBs, which share no
+// state; each structure still sees its ranges in original order. The
+// range lists are rn's scratch.
 func (e *engine) prewarm(rn *Runner) {
 	llc := rn.llc[:0]
 	addLLC := func(start, end uint64) {
@@ -36,9 +39,9 @@ func (e *engine) prewarm(rn *Runner) {
 	if e.p.KernelFrac > 0.005 {
 		addLLC(kernelCodeBase, kEnd)
 	}
-	l2b := rn.l2b[:0]
+	l2b, tlb := rn.l2b[:0], rn.tlb[:0]
 	for _, c := range e.cores {
-		l2b = l2b[:0]
+		l2b, tlb = l2b[:0], tlb[:0]
 		// L2: the start of the code region (hot methods live everywhere in
 		// it, but LRU steady state keeps roughly this much resident).
 		l2Cap := uint64(e.m.L2.SizeBytes / 2)
@@ -55,13 +58,13 @@ func (e *engine) prewarm(rn *Runner) {
 		c.l1i.InsertRange(codeStart, l1iEnd)
 		// Stack frame: L1D-resident.
 		sbase := uint64(stackBase) + uint64(c.id)<<20
-		c.tlbs.DTLB.Warm(sbase)
+		tlb = append(tlb, mem.TLBRange{Start: sbase, End: sbase + pageBytes})
 		// Kernel data buffers: L2/LLC-resident.
 		if e.p.KernelFrac > 0.005 {
 			kbase := kernelDataBase + uint64(c.id)<<20
 			l2b = append(l2b, [2]uint64{kbase, kbase + (1 << 16)})
 			addLLC(kbase, kbase+(1<<16))
-			c.tlbs.DTLB.WarmRange(kbase, kbase+(1<<16))
+			tlb = append(tlb, mem.TLBRange{Start: kbase, End: kbase + (1 << 16)})
 		}
 		// Warm data region: LLC-resident, top slice L2/L1-resident.
 		span := e.regionSpan()
@@ -94,19 +97,20 @@ func (e *engine) prewarm(rn *Runner) {
 			if window <= int64(e.m.L2.SizeBytes)/2 {
 				l2b = append(l2b, [2]uint64{nbase, nbase + uint64(window)})
 			}
-			c.tlbs.DTLB.WarmRange(nbase, nbase+uint64(window))
+			tlb = append(tlb, mem.TLBRange{Start: nbase, End: nbase + uint64(window)})
 		}
 		c.l2.InsertRanges(l2b)
 		// TLBs: code pages and warm data pages. A sparse page-aligned code
 		// layout (immature JIT) has far more pages than the TLB hierarchy
 		// holds, so there is no steady warm state to install.
 		if !(e.p.Managed && e.m.StackFriction > 2) {
-			c.tlbs.ITLB.WarmRange(codeStart, codeEnd)
+			tlb = append(tlb, mem.TLBRange{Start: codeStart, End: codeEnd, Code: true})
 		}
 		if e.p.KernelFrac > 0.005 {
-			c.tlbs.ITLB.WarmRange(kernelCodeBase, kEnd)
+			tlb = append(tlb, mem.TLBRange{Start: kernelCodeBase, End: kEnd, Code: true})
 		}
-		c.tlbs.DTLB.WarmRange(base, base+uint64(warm))
+		tlb = append(tlb, mem.TLBRange{Start: base, End: base + uint64(warm)})
+		c.tlbs.WarmRanges(tlb)
 	}
 	// All LLC ranges in original global order, executed in one batch per
 	// target cache (one shared LLC, or every core's private LLC).
@@ -117,5 +121,5 @@ func (e *engine) prewarm(rn *Runner) {
 			c.l3.InsertRanges(llc)
 		}
 	}
-	rn.llc, rn.l2b = llc, l2b
+	rn.llc, rn.l2b, rn.tlb = llc, l2b, tlb
 }

@@ -37,10 +37,12 @@ type Runner struct {
 	kernelSizes []int
 
 	// Scratch that setup and prewarm rewrite on every run.
-	nativeAddrs []uint64
-	nativeSizes []int
-	coreBases   []uint64
-	llc, l2b    [][2]uint64
+	dzipf, mzipf rng.Zipf
+	nativeAddrs  []uint64
+	nativeSizes  []int
+	coreBases    []uint64
+	llc, l2b     [][2]uint64
+	tlb          []mem.TLBRange
 }
 
 // Run simulates p on m like the package-level Run, reusing the runner's

@@ -90,9 +90,10 @@ func TestRunnerMatchesFreshRun(t *testing.T) {
 
 // runBytesBudget caps the heap bytes one run of a dotnet-individual
 // workload may allocate on a warmed Runner (CoreI9, the Quick budget of
-// 6000 instructions). That run allocated 34,352 bytes in 15 mallocs on
-// linux/amd64 with go1.24 (the JIT's method table, two Zipf tables, the
-// result); a fresh Run allocates about 6.9 MB.
+// 6000 instructions). That run allocated 26,358 bytes in 11 mallocs on
+// linux/amd64 with go1.24 (mostly the JIT's method table and the
+// result; the Zipf tables are rebuilt in the Runner's storage); a fresh
+// Run allocates about 6.9 MB.
 const runBytesBudget = 64 << 10
 
 // TestRunnerAllocationBudget guards the point of the Runner: once warmed,

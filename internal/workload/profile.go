@@ -17,6 +17,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 )
@@ -89,52 +90,73 @@ type Profile struct {
 	InstructionScale float64
 }
 
-// Validate reports structurally impossible profiles.
+// Validate reports structurally impossible profiles. Every error names
+// the offending field; NaN and infinities fail every float field.
 func (p *Profile) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("workload: unnamed profile")
 	}
-	sum := p.BranchFrac + p.LoadFrac + p.StoreFrac
-	if p.BranchFrac < 0 || p.LoadFrac < 0 || p.StoreFrac < 0 || sum > 1 {
-		return fmt.Errorf("workload %s: instruction mix %v/%v/%v invalid", p.Name, p.BranchFrac, p.LoadFrac, p.StoreFrac)
+	// Each check is written to fail for NaN; with a finite bound it also
+	// fails for an infinity.
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	switch {
+	case !(p.BranchFrac >= 0 && p.BranchFrac <= 1):
+		return p.fieldErr("BranchFrac", p.BranchFrac, "[0,1]")
+	case !(p.LoadFrac >= 0 && p.LoadFrac <= 1):
+		return p.fieldErr("LoadFrac", p.LoadFrac, "[0,1]")
+	case !(p.StoreFrac >= 0 && p.StoreFrac <= 1):
+		return p.fieldErr("StoreFrac", p.StoreFrac, "[0,1]")
+	case !(p.KernelFrac >= 0 && p.KernelFrac <= 1):
+		return p.fieldErr("KernelFrac", p.KernelFrac, "[0,1]")
+	case !(p.MethodZipf >= 0 && p.MethodZipf <= 2):
+		return p.fieldErr("MethodZipf", p.MethodZipf, "[0,2]")
+	case !(p.BranchPredictability >= 0.5 && p.BranchPredictability <= 1):
+		return p.fieldErr("BranchPredictability", p.BranchPredictability, "[0.5,1]")
+	case !(p.TakenFrac >= 0 && p.TakenFrac <= 1):
+		return p.fieldErr("TakenFrac", p.TakenFrac, "[0,1]")
+	case !(p.MicrocodeFrac >= 0 && p.MicrocodeFrac <= 1):
+		return p.fieldErr("MicrocodeFrac", p.MicrocodeFrac, "[0,1]")
+	case !(p.DivFrac >= 0 && p.DivFrac <= 1):
+		return p.fieldErr("DivFrac", p.DivFrac, "[0,1]")
+	case !(p.DataZipf >= 0 && finite(p.DataZipf)):
+		return p.fieldErr("DataZipf", p.DataZipf, "[0,+Inf)")
+	case !(p.SequentialFrac >= 0 && p.SequentialFrac <= 1):
+		return p.fieldErr("SequentialFrac", p.SequentialFrac, "[0,1]")
+	case !(p.LocalFrac >= 0 && p.LocalFrac <= 1):
+		return p.fieldErr("LocalFrac", p.LocalFrac, "[0,1]")
+	case !(p.ILP >= 0 && p.ILP <= 1):
+		return p.fieldErr("ILP", p.ILP, "[0,1]")
+	case !(p.AllocBytesPerKI >= 0 && finite(p.AllocBytesPerKI)):
+		return p.fieldErr("AllocBytesPerKI", p.AllocBytesPerKI, "[0,+Inf)")
+	// Per-KI event rates are per-instruction probabilities times 1000.
+	case !(p.ExceptionPKI >= 0 && p.ExceptionPKI <= 1000):
+		return p.fieldErr("ExceptionPKI", p.ExceptionPKI, "[0,1000]")
+	case !(p.ContentionPKI >= 0 && p.ContentionPKI <= 1000):
+		return p.fieldErr("ContentionPKI", p.ContentionPKI, "[0,1000]")
+	case !(p.InstructionScale > 0 && finite(p.InstructionScale)):
+		return p.fieldErr("InstructionScale", p.InstructionScale, "(0,+Inf)")
 	}
-	if p.KernelFrac < 0 || p.KernelFrac > 1 {
-		return fmt.Errorf("workload %s: kernel fraction %v", p.Name, p.KernelFrac)
+	if sum := p.BranchFrac + p.LoadFrac + p.StoreFrac; sum > 1 {
+		return fmt.Errorf("workload %s: instruction mix BranchFrac+LoadFrac+StoreFrac %v+%v+%v above 1", p.Name, p.BranchFrac, p.LoadFrac, p.StoreFrac)
 	}
 	if p.CodeFootprintBytes <= 0 || p.MethodCount <= 0 {
-		return fmt.Errorf("workload %s: code footprint %d / methods %d", p.Name, p.CodeFootprintBytes, p.MethodCount)
-	}
-	if p.MethodZipf < 0 || p.MethodZipf > 2 {
-		return fmt.Errorf("workload %s: method zipf %v", p.Name, p.MethodZipf)
-	}
-	if p.BranchPredictability < 0.5 || p.BranchPredictability > 1 {
-		return fmt.Errorf("workload %s: predictability %v outside [0.5,1]", p.Name, p.BranchPredictability)
-	}
-	if p.TakenFrac < 0 || p.TakenFrac > 1 {
-		return fmt.Errorf("workload %s: taken fraction %v", p.Name, p.TakenFrac)
+		return fmt.Errorf("workload %s: CodeFootprintBytes %d / MethodCount %d", p.Name, p.CodeFootprintBytes, p.MethodCount)
 	}
 	if p.WorkingSetBytes <= 0 {
-		return fmt.Errorf("workload %s: working set %d", p.Name, p.WorkingSetBytes)
-	}
-	if p.DataZipf < 0 || p.SequentialFrac < 0 || p.SequentialFrac > 1 {
-		return fmt.Errorf("workload %s: data behavior invalid", p.Name)
-	}
-	if p.LocalFrac < 0 || p.LocalFrac > 1 {
-		return fmt.Errorf("workload %s: local fraction %v", p.Name, p.LocalFrac)
-	}
-	if p.ILP < 0 || p.ILP > 1 {
-		return fmt.Errorf("workload %s: ILP %v", p.Name, p.ILP)
+		return fmt.Errorf("workload %s: WorkingSetBytes %d", p.Name, p.WorkingSetBytes)
 	}
 	if !p.Managed && (p.AllocBytesPerKI > 0 || p.ExceptionPKI > 0 || p.ContentionPKI > 0) {
-		return fmt.Errorf("workload %s: native profile has managed-runtime rates", p.Name)
+		return fmt.Errorf("workload %s: native profile has managed-runtime rates AllocBytesPerKI/ExceptionPKI/ContentionPKI %v/%v/%v", p.Name, p.AllocBytesPerKI, p.ExceptionPKI, p.ContentionPKI)
 	}
 	if p.DefaultCores <= 0 {
-		return fmt.Errorf("workload %s: cores %d", p.Name, p.DefaultCores)
-	}
-	if p.InstructionScale <= 0 {
-		return fmt.Errorf("workload %s: instruction scale %v", p.Name, p.InstructionScale)
+		return fmt.Errorf("workload %s: DefaultCores %d", p.Name, p.DefaultCores)
 	}
 	return nil
+}
+
+// fieldErr reports a float field outside its valid range.
+func (p *Profile) fieldErr(field string, v float64, valid string) error {
+	return fmt.Errorf("workload %s: %s %v: want a finite value in %s", p.Name, field, v, valid)
 }
 
 // Seed returns the deterministic RNG seed for this workload, derived from

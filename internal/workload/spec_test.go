@@ -87,7 +87,22 @@ func TestParseSpecErrors(t *testing.T) {
 		}), `duplicate workload name "w1"`},
 		{"invalid-profile", minimalSpec(func(s string) string {
 			return strings.Replace(s, `{"ILP": 0.7}`, `{"BranchPredictability": 0.2}`, 1)
-		}), "predictability"},
+		}), "BranchPredictability 0.2"},
+		{"microcode-above-one", minimalSpec(func(s string) string {
+			return strings.Replace(s, `{"ILP": 0.7}`, `{"MicrocodeFrac": 3}`, 1)
+		}), "MicrocodeFrac 3"},
+		{"negative-div", minimalSpec(func(s string) string {
+			return strings.Replace(s, `{"ILP": 0.7}`, `{"DivFrac": -0.01}`, 1)
+		}), "DivFrac -0.01"},
+		{"negative-alloc-rate", minimalSpec(func(s string) string {
+			return strings.Replace(s, `{"ILP": 0.7}`, `{"Managed": true, "AllocBytesPerKI": -8}`, 1)
+		}), "AllocBytesPerKI -8"},
+		{"exception-rate-above-1000", minimalSpec(func(s string) string {
+			return strings.Replace(s, `{"ILP": 0.7}`, `{"Managed": true, "ExceptionPKI": 1500}`, 1)
+		}), "ExceptionPKI 1500"},
+		{"negative-contention-rate", minimalSpec(func(s string) string {
+			return strings.Replace(s, `{"ILP": 0.7}`, `{"Managed": true, "ContentionPKI": -1}`, 1)
+		}), "ContentionPKI -1"},
 		{"no-workloads", minimalSpec(func(s string) string {
 			return strings.Replace(s, `[{"name": "w1"}, {"name": "w2", "profile": {"ILP": 0.7}}]`, `[]`, 1)
 		}), "no workloads"},
@@ -129,6 +144,9 @@ func TestParseSpecGenerateErrors(t *testing.T) {
 		{"bad-post-op", `{"seed": ["x"], "spread": 0.2, "names": ["n"], "post": [{"field": "ILP", "op": "frobnicate"}]}`, `unknown op "frobnicate"`},
 		{"bad-post-field", `{"seed": ["x"], "spread": 0.2, "names": ["n"], "post": [{"field": "Name", "op": "set", "value": 1}]}`, "unknown op field"},
 		{"clamp-without-range", `{"seed": ["x"], "spread": 0.2, "names": ["n"], "post": [{"field": "ILP", "op": "clamp"}]}`, "requires a clamp range"},
+		// JSON carries no NaN or infinity, but op arithmetic can make them.
+		{"infinite-field", `{"seed": ["x"], "spread": 0.2, "names": ["n"], "post": [{"field": "DataZipf", "op": "mul", "value": 1e308}, {"field": "DataZipf", "op": "mul", "value": 1e308}]}`, "DataZipf +Inf"},
+		{"nan-field", `{"seed": ["x"], "spread": 0.2, "names": ["n"], "post": [{"field": "TakenFrac", "op": "mul", "value": 1e308}, {"field": "TakenFrac", "op": "mul", "value": 1e308}, {"field": "TakenFrac", "op": "mul", "value": 0}]}`, "TakenFrac NaN"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseSpec(addGenerate(tc.block))

@@ -14,6 +14,9 @@
 #   go test      all packages, race detector on, shuffled execution
 #                order (-shuffle=on) so order-dependent tests cannot
 #                hide behind file ordering
+#   fuzz budget  every native fuzz target fuzzed for 5 s beyond its seed
+#                corpus (go test -fuzz), so a new crasher on the mem,
+#                rng or cluster boundaries fails here
 #   perfbench    the benchmark module's own tests (cd perfbench && go
 #   smoke        test ./...): tiny runs of all four workloads, every
 #                output checked against perfbench/digests.json, so a
@@ -75,6 +78,13 @@ go test -race -shuffle=on ./...
 
 echo "== bench smoke (compile + one iteration)"
 go test -run=NONE -bench=. -benchtime=1x ./... > /dev/null
+
+echo "== fuzz budget (5 s per native fuzz target)"
+for target in internal/mem:FuzzCacheAccess internal/mem:FuzzTLBLookup \
+    internal/mem:FuzzResetPrewarm internal/cluster:FuzzAgglomerate \
+    internal/rng:FuzzHitMatchesBool; do
+    go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 5s "./${target%%:*}"
+done
 
 echo "== perfbench smoke (tiny runs of every workload against recorded digests)"
 (cd perfbench && go test ./...)
