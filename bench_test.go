@@ -113,7 +113,9 @@ func BenchmarkMeasureSuite(b *testing.B) {
 	m := machine.CoreI9()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		core.MeasureSuite(cats, m, sim.Options{Instructions: 5000})
+		if _, err := core.MeasureSuite(context.Background(), nil, cats, m, sim.Options{Instructions: 5000}, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -125,8 +127,12 @@ var ablationMeasurements []core.Measurement
 
 func ablationMs(b *testing.B) []core.Measurement {
 	if ablationMeasurements == nil {
-		ablationMeasurements = core.MeasureSuite(
-			workload.DotNetCategories(), machine.CoreI9(), sim.Options{Instructions: 8000})
+		ms, err := core.MeasureSuite(context.Background(), nil,
+			workload.DotNetCategories(), machine.CoreI9(), sim.Options{Instructions: 8000}, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ablationMeasurements = ms
 	}
 	return ablationMeasurements
 }

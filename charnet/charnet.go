@@ -25,6 +25,8 @@
 package charnet
 
 import (
+	"context"
+
 	"repro/internal/clr"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -154,9 +156,13 @@ const (
 	Ward     = cluster.Ward
 )
 
-// MeasureSuite measures every workload of a suite on a machine.
+// MeasureSuite measures every workload of a suite on a machine, on a
+// GOMAXPROCS-sized worker pool. It cannot be cancelled; per-workload
+// failures are carried in each Measurement's Err.
 func MeasureSuite(ps []Profile, m *Machine, opts Options) []Measurement {
-	return core.MeasureSuite(ps, m, opts)
+	//charnet:ignore errdiscard a background context cannot be cancelled, so the only error source is off
+	ms, _ := core.MeasureSuite(context.Background(), nil, ps, m, opts, 0) //charnet:ignore ctxflow the uncancellable public façade: the one place a suite measurement mints its own context
+	return ms
 }
 
 // Characterize fits the §IV pipeline: PCA over 24-metric vectors, top-PC

@@ -7,7 +7,7 @@
 //	charnet [-full] [-cache DIR] [-workers N] [-format text|json|csv]
 //	        [-suite-spec FILE]... [-trace-out FILE] [-events-out FILE]
 //	        [-profile-json FILE] [-telemetry-out FILE] [-progress]
-//	        [-telemetry-addr ADDR] [-pprof ADDR] <command>
+//	        [-telemetry-addr ADDR] <command>
 //
 // Suites are data: -suite-spec FILE (repeatable) loads a declarative
 // workload-spec JSON file (see docs/WORKLOADS.md) and registers its suite
@@ -25,8 +25,10 @@
 //
 // Every experiment command (and `all`) honors -format; the structured
 // formats also include hidden machine-readable twins of prose-only data.
-// Utility commands (metrics, machines, suites, run, trace, export) are
-// text-only.
+// `export S` measures suite S on the i9 through the Lab, as the
+// experiments do, and renders its metric vectors in -format; its JSON is
+// byte-identical to charnetd's POST /v1/measure body for S. The other
+// utility commands (metrics, machines, suites, run, trace) are text-only.
 //
 // Observability flags (all output goes to stderr or files; experiment
 // stdout is byte-identical with or without them):
@@ -44,7 +46,6 @@
 //	                     (Prometheus text format), /healthz, /infoz,
 //	                     /debug/vars and /debug/pprof/*. The bound address
 //	                     is announced on stderr, so ":0" works.
-//	-pprof ADDR          deprecated alias for -telemetry-addr
 //
 // Any of these (except -workers) also prints the end-of-run text
 // self-profile tree on stderr.
@@ -57,6 +58,7 @@ package main
 
 import (
 	"context"
+	"encoding/csv"
 	"errors"
 	"expvar"
 	"flag"
@@ -66,6 +68,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -77,7 +80,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mstore"
 	"repro/internal/obs"
-	"repro/internal/report"
 	"repro/internal/telemetry"
 	"repro/internal/textplot"
 	"repro/internal/workload"
@@ -100,7 +102,6 @@ func main() {
 	progress := flag.Bool("progress", false, "live per-driver/per-suite progress on stderr")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /healthz, expvar and pprof on this address (\":0\" picks a port, announced on stderr)")
 	telemetryOut := flag.String("telemetry-out", "", "write the telemetry run-report artifact as JSON")
-	pprofAddr := flag.String("pprof", "", "deprecated alias for -telemetry-addr")
 	var suiteSpecs multiFlag
 	flag.Var(&suiteSpecs, "suite-spec", "register an external suite from a workload-spec JSON file (repeatable)")
 	flag.Usage = usage
@@ -132,15 +133,10 @@ func main() {
 		lab.Registry = reg
 	}
 
-	serveAddr := *telemetryAddr
-	if serveAddr == "" {
-		serveAddr = *pprofAddr
-	}
-
 	// The trace exists only when some observability output was requested:
 	// an untraced run keeps the nil no-op path everywhere.
 	var tr *obs.Trace
-	if *traceOut != "" || *eventsOut != "" || *profileJSON != "" || *telemetryOut != "" || *progress || serveAddr != "" {
+	if *traceOut != "" || *eventsOut != "" || *profileJSON != "" || *telemetryOut != "" || *progress || *telemetryAddr != "" {
 		var opts []obs.Option
 		if *progress {
 			opts = append(opts, obs.WithProgress(os.Stderr))
@@ -150,13 +146,13 @@ func main() {
 	}
 
 	stopTelemetry := func() {}
-	if serveAddr != "" {
+	if *telemetryAddr != "" {
 		fidelity := "quick"
 		if *full {
 			fidelity = "full"
 		}
 		info := telemetry.Info{Role: "cli", Command: flag.Arg(0), Fidelity: fidelity, Format: *format, Workers: *workers}
-		stop, err := serveTelemetry(serveAddr, tr, info)
+		stop, err := serveTelemetry(*telemetryAddr, tr, info)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "charnet: telemetry: %v\n", err)
 			os.Exit(1)
@@ -273,13 +269,13 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "\n-suite-spec FILE (repeatable) registers an external suite from a")
 	fmt.Fprintln(os.Stderr, "workload-spec JSON file (docs/WORKLOADS.md); it then flows through the")
 	fmt.Fprintln(os.Stderr, "characterization experiments and the utility commands below.")
-	fmt.Fprintln(os.Stderr, "\nutility commands (text-only):")
+	fmt.Fprintln(os.Stderr, "\nutility commands (text-only, except export):")
 	fmt.Fprintln(os.Stderr, "  metrics     print the Table I metric catalog")
 	fmt.Fprintln(os.Stderr, "  machines    print the Table II machine models")
 	fmt.Fprintln(os.Stderr, "  suites      print the registered suites and the Table IV subsets")
 	fmt.Fprintln(os.Stderr, "  run NAME    run one workload on the i9 and print its metrics")
 	fmt.Fprintln(os.Stderr, "  trace NAME  run NAME with sampling and emit the sample CSV")
-	fmt.Fprintln(os.Stderr, "  export S F  measure suite S (a wire name from `suites`) and emit F (csv|json)")
+	fmt.Fprintln(os.Stderr, "  export S    measure suite S (a wire name from `suites`) and emit its metric vectors in -format")
 	fmt.Fprintln(os.Stderr, "\nexperiment commands (honor -format):")
 	for _, d := range experiments.Drivers() {
 		fmt.Fprintf(os.Stderr, "  %-11s %s\n", d.Name, d.Title)
@@ -311,13 +307,12 @@ func dispatch(ctx context.Context, lab *experiments.Lab, cmd string, args []stri
 		return inDriverSpan(lab, cmd, func() error { return traceOne(lab, args[0], out) })
 	case "export":
 		if len(args) < 1 {
-			return fmt.Errorf("export requires a suite: dotnet|aspnet|spec")
+			return fmt.Errorf("export requires a suite: one of %v", lab.SuiteNames())
 		}
-		f := "csv"
 		if len(args) > 1 {
-			f = args[1]
+			return fmt.Errorf("export takes one suite; select the output with -format text|json|csv, not %q", args[1:])
 		}
-		return inDriverSpan(lab, cmd, func() error { return exportSuite(lab, args[0], f, out) })
+		return inDriverSpan(lab, cmd, func() error { return exportSuite(ctx, lab, args[0], format, out) })
 	case "all":
 		var arts []*artifact.Artifact
 		for _, d := range experiments.Drivers() {
@@ -346,11 +341,7 @@ func dispatch(ctx context.Context, lab *experiments.Lab, cmd string, args []stri
 	if err != nil {
 		return err
 	}
-	if format == "text" {
-		_, err := fmt.Fprintln(out, artifact.Text(a))
-		return err
-	}
-	return writeArtifacts(out, format, []*artifact.Artifact{a})
+	return writeArtifact(out, format, a)
 }
 
 // runDriver executes one registered driver under its trace span.
@@ -362,6 +353,15 @@ func runDriver(ctx context.Context, lab *experiments.Lab, d experiments.Driver) 
 		return nil, err
 	}
 	return res.Artifact(), nil
+}
+
+// writeArtifact renders one artifact in format.
+func writeArtifact(out io.Writer, format string, a *artifact.Artifact) error {
+	if format == "text" {
+		_, err := fmt.Fprintln(out, artifact.Text(a))
+		return err
+	}
+	return writeArtifacts(out, format, []*artifact.Artifact{a})
 }
 
 // writeArtifacts lands collected artifacts in the structured formats.
@@ -463,25 +463,51 @@ func traceOne(lab *experiments.Lab, name string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return report.WriteSamplesCSV(out, report.FromSamples(res.Samples))
+	return writeSamplesCSV(out, res.Samples)
 }
 
-// exportSuite measures a whole suite and streams records to out.
-func exportSuite(lab *experiments.Lab, suiteName, format string, out io.Writer) error {
+// writeSamplesCSV writes one CSV row per sample time bin.
+func writeSamplesCSV(out io.Writer, samples []charnet.Sample) error {
+	cw := csv.NewWriter(out)
+	if err := cw.Write([]string{
+		"bin", "instructions", "cycles", "ipc", "branch_misses",
+		"l1i_misses", "llc_misses", "page_faults", "jit_starts", "gc_triggered",
+	}); err != nil {
+		return err
+	}
+	for i, s := range samples {
+		if err := cw.Write([]string{
+			strconv.Itoa(i),
+			strconv.FormatUint(s.Instructions, 10),
+			artifact.FormatFloat(s.Cycles),
+			artifact.FormatFloat(s.IPC()),
+			strconv.FormatUint(s.BranchMisses, 10),
+			strconv.FormatUint(s.L1IMisses, 10),
+			strconv.FormatUint(s.LLCMisses, 10),
+			strconv.FormatUint(s.PageFaults, 10),
+			strconv.FormatUint(s.JITStarts, 10),
+			strconv.FormatUint(s.GCTriggered, 10),
+		}); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// exportSuite measures a suite on the i9 through the Lab and renders its
+// measure artifact, the one output a suite measurement has.
+func exportSuite(ctx context.Context, lab *experiments.Lab, suiteName, format string, out io.Writer) error {
 	def, ok := lab.Suite(suiteName)
 	if !ok {
 		return fmt.Errorf("unknown suite %q (want one of %v)", suiteName, lab.SuiteNames())
 	}
-	ms := charnet.MeasureSuite(def.Profiles(), charnet.CoreI9(), charnet.Options{Instructions: lab.Cfg.Instructions})
-	recs := report.FromMeasurements(ms)
-	switch format {
-	case "csv":
-		return report.WriteCSV(out, recs)
-	case "json":
-		return report.WriteJSON(out, recs)
-	default:
-		return fmt.Errorf("unknown format %q (want csv|json)", format)
+	m := machine.CoreI9()
+	ms, err := lab.MeasureSuite(ctx, def, m)
+	if err != nil {
+		return err
 	}
+	return writeArtifact(out, format, experiments.MeasureArtifact(suiteName, m, ms))
 }
 
 func runOne(lab *experiments.Lab, name string, out io.Writer) error {

@@ -3,15 +3,20 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/charnet"
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // tinyLab is the smallest configuration the drivers accept.
@@ -113,17 +118,87 @@ func TestDispatchCancelled(t *testing.T) {
 
 func TestExportArgs(t *testing.T) {
 	lab := tinyLab()
-	if err := run(lab, "export", nil); err == nil {
-		t.Fatal("export without suite should fail")
+	if err := run(lab, "export", nil); err == nil || !strings.Contains(err.Error(), "dotnet-individual") {
+		t.Fatalf("export without suite: %v, want an error listing the registered suites", err)
 	}
 	if err := run(lab, "export", []string{"nope"}); err == nil {
 		t.Fatal("unknown suite should fail")
 	}
-	if err := run(lab, "export", []string{"spec", "nope"}); err == nil {
-		t.Fatal("unknown format should fail")
+	// The format is the global -format flag; a positional format after
+	// the suite (bad or formerly valid) fails and names the flag.
+	for _, f := range []string{"nope", "json"} {
+		if err := run(lab, "export", []string{"spec", f}); err == nil || !strings.Contains(err.Error(), "-format") {
+			t.Fatalf("export spec %s: %v, want an error naming -format", f, err)
+		}
 	}
-	if err := run(lab, "export", []string{"spec", "json"}); err != nil {
+	if err := run(lab, "export", []string{"spec"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExportMatchesMeasure: a suite measurement has one output.
+// `charnet -format json export S` prints exactly the body charnetd's
+// POST /v1/measure returns for S, each measured on its own Lab.
+func TestExportMatchesMeasure(t *testing.T) {
+	s := serve.New(tinyLab(), nil, serve.Config{})
+	srv := httptest.NewServer(s)
+	defer func() {
+		srv.Close()
+		s.Close()
+	}()
+	lab := tinyLab()
+	for _, suite := range []string{"aspnet", "dotnet-individual"} {
+		var export bytes.Buffer
+		if err := dispatch(context.Background(), lab, "export", []string{suite}, "json", &export); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Post(srv.URL+"/v1/measure", "application/json", strings.NewReader(`{"suite":"`+suite+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: measure status %d: %s", suite, resp.StatusCode, body)
+		}
+		if !bytes.Equal(export.Bytes(), body) {
+			t.Fatalf("%s: export and /v1/measure bodies differ\nexport:\n%.400s\nmeasure:\n%.400s", suite, export.Bytes(), body)
+		}
+	}
+}
+
+// TestDispatchTrace: trace emits a header plus one CSV row per sample
+// bin of the workload's sampled run.
+func TestDispatchTrace(t *testing.T) {
+	lab := tinyLab()
+	var out bytes.Buffer
+	if err := dispatch(context.Background(), lab, "trace", []string{"Json"}, "text", &out); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&out).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := findWorkload(lab, "Json")
+	res, err := charnet.Run(p, charnet.CoreI9(), charnet.Options{
+		Instructions: lab.Cfg.Instructions * 4, SampleInterval: lab.Cfg.SampleInterval, AllocScale: 3000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Samples) == 0 || len(rows) != len(res.Samples)+1 {
+		t.Fatalf("%d CSV rows for %d samples, want a header plus one row each", len(rows), len(res.Samples))
+	}
+	for i, row := range rows[1:] {
+		if len(row) != len(rows[0]) || row[0] != strconv.Itoa(i) {
+			t.Fatalf("row %d = %v, want %d columns starting with bin %d", i+1, row, len(rows[0]), i)
+		}
+	}
+	if err := run(lab, "trace", nil); err == nil {
+		t.Fatal("trace without a name should fail")
 	}
 }
 

@@ -8,7 +8,7 @@
 // are encoded as analyzers rather than left as tribal knowledge:
 //
 //   - detertaint: a whole-program reachability proof that no registered
-//     driver's Run path (nor core.MeasureSuiteCtx) can reach a
+//     driver's Run path (nor core.MeasureSuite) can reach a
 //     nondeterminism source — time.Now/Since, math/rand, os.Getenv —
 //     built on the cross-package call graph in callgraph.go
 //   - ctxflow: context discipline — context.Context is the first

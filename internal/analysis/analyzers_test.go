@@ -7,13 +7,15 @@ import (
 
 // TestDeterTaintFixture: an indirect, cross-package time.Now (and
 // math/rand) call two hops below a registered driver is caught with its
-// full call chain, while the clean driver's path stays silent. The three
-// fixture targets are listed dependency-first so the pseudo packages can
-// import each other.
+// full call chain, while the clean driver's path stays silent; the core
+// MeasureSuite and workload ParseSpec roots are policed the same way.
+// The fixture targets are listed dependency-first so the pseudo packages
+// can import each other.
 func TestDeterTaintFixture(t *testing.T) {
 	checkGolden(t, "detertaint", runFixtureMulti(t, []string{
 		"repro/dtfix/clock",
 		"repro/dtfix/measure",
+		"repro/dtfix/core",
 		"repro/dtfix/experiments",
 		"repro/dtfix/workload",
 	}, DeterTaint))

@@ -12,7 +12,7 @@ import (
 // restricted-package list: instead of trusting that a hand-maintained set
 // of packages stays clean, it proves by call-graph reachability that no
 // registered experiment driver — every Run function in the experiments
-// registry — nor core.MeasureSuiteCtx nor the suite-spec loader
+// registry — nor core.MeasureSuite nor the suite-spec loader
 // workload.ParseSpec can reach a nondeterminism source:
 //
 //   - time.Now / time.Since (wall clock),
@@ -144,7 +144,7 @@ func trimChain(chain []string) []string {
 // detertaintRoots finds the deterministic roots in the loaded units:
 // every function registered as a Driver's Run in the experiments
 // registry's package-level `drivers` literal (unwrapping the wrap(...)
-// adapter), plus MeasureSuiteCtx in the core package, plus ParseSpec in
+// adapter), plus MeasureSuite in the core package, plus ParseSpec in
 // the workload package — the suite-spec loader promises that everything
 // a spec generates is a pure function of the spec bytes, so its call
 // tree must be as clean as a driver's. Matching is structural — any
@@ -184,7 +184,7 @@ func detertaintRoots(pass *ModulePass, g *CallGraph) []string {
 			}
 			if pathEndsWith(u.Path, "core") {
 				for _, decl := range f.Decls {
-					if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == "MeasureSuiteCtx" {
+					if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == "MeasureSuite" {
 						fn, _ := u.Info.Defs[fd.Name].(*types.Func)
 						add(fn)
 					}

@@ -1,6 +1,6 @@
 // Package timeok is a detertaint negative fixture: it reads the wall
 // clock, but is not reachable from any deterministic root (no driver
-// registry or MeasureSuiteCtx calls into a report package).
+// registry or MeasureSuite calls into a report package).
 package timeok
 
 import "time"

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-
-	"repro/internal/report"
 )
 
 // csvWriter is the tidy-format encoder the payload CSV renderers feed.
@@ -16,11 +14,16 @@ type csvWriter = csv.Writer
 // value per record, identified by artifact, payload, row and column.
 var csvHeader = []string{"artifact", "payload", "kind", "row", "column", "unit", "value"}
 
+// FormatFloat is the canonical float rendering for CSV output, shared by
+// the tidy artifact CSV and cmd/charnet's trace sample CSV.
+func FormatFloat(f float64) string {
+	return strconv.FormatFloat(f, 'g', 6, 64)
+}
+
 // WriteCSV emits the artifacts as one tidy CSV table. Numeric cells use
-// the canonical float formatting shared with internal/report; text cells
-// pass through as-is. Hidden payloads are included — CSV is a structured
-// rendering, and the hidden data is exactly what text-only consumers
-// could never reach.
+// FormatFloat; text cells pass through as-is. Hidden payloads are
+// included — CSV is a structured rendering, and the hidden data is
+// exactly what text-only consumers could never reach.
 func WriteCSV(w io.Writer, arts []*Artifact) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(csvHeader); err != nil {
@@ -39,7 +42,7 @@ func WriteCSV(w io.Writer, arts []*Artifact) error {
 
 func (v Value) csvString() string {
 	if v.IsNum {
-		return report.FormatFloat(v.Num)
+		return FormatFloat(v.Num)
 	}
 	return v.Text
 }
@@ -71,7 +74,7 @@ func (s *Series) renderCSV(w *csvWriter, artifact string) error {
 			if j < len(s.Segments) {
 				seg = s.Segments[j]
 			}
-			rec := []string{artifact, s.Name, string(KindSeries), label, seg, s.Unit, report.FormatFloat(v)}
+			rec := []string{artifact, s.Name, string(KindSeries), label, seg, s.Unit, FormatFloat(v)}
 			if err := w.Write(rec); err != nil {
 				return err
 			}
@@ -84,10 +87,10 @@ func (s *Scatter) renderCSV(w *csvWriter, artifact string) error {
 	for _, g := range s.Groups {
 		for i, p := range g.Points {
 			rowID := fmt.Sprintf("%s/%d", g.Name, i)
-			if err := w.Write([]string{artifact, s.Name, string(KindScatter), rowID, "x", "", report.FormatFloat(p[0])}); err != nil {
+			if err := w.Write([]string{artifact, s.Name, string(KindScatter), rowID, "x", "", FormatFloat(p[0])}); err != nil {
 				return err
 			}
-			if err := w.Write([]string{artifact, s.Name, string(KindScatter), rowID, "y", "", report.FormatFloat(p[1])}); err != nil {
+			if err := w.Write([]string{artifact, s.Name, string(KindScatter), rowID, "y", "", FormatFloat(p[1])}); err != nil {
 				return err
 			}
 		}
@@ -107,7 +110,7 @@ func (t *Tree) renderCSV(w *csvWriter, artifact string) error {
 		if n.IsLeaf() {
 			return w.Write([]string{artifact, t.Name, string(KindTree), row, "leaf", "", n.Label})
 		}
-		if err := w.Write([]string{artifact, t.Name, string(KindTree), row, "merge_distance", "", report.FormatFloat(n.Distance)}); err != nil {
+		if err := w.Write([]string{artifact, t.Name, string(KindTree), row, "merge_distance", "", FormatFloat(n.Distance)}); err != nil {
 			return err
 		}
 		if err := w.Write([]string{artifact, t.Name, string(KindTree), row, "leaves", "count", strconv.Itoa(n.Size)}); err != nil {

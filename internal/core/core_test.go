@@ -13,6 +13,17 @@ import (
 	"repro/internal/workload"
 )
 
+// measure runs MeasureSuite uncached under a background context, which
+// cannot fail.
+func measure(t *testing.T, ps []workload.Profile, m *machine.Config, opts sim.Options, workers int) []Measurement {
+	t.Helper()
+	ms, err := MeasureSuite(context.Background(), nil, ps, m, opts, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms
+}
+
 // measureCats measures the first n .NET categories at low fidelity.
 func measureCats(t *testing.T, n int) []Measurement {
 	t.Helper()
@@ -20,7 +31,7 @@ func measureCats(t *testing.T, n int) []Measurement {
 	if n > len(cats) {
 		n = len(cats)
 	}
-	ms := MeasureSuite(cats[:n], machine.CoreI9(), sim.Options{Instructions: 8000})
+	ms := measure(t, cats[:n], machine.CoreI9(), sim.Options{Instructions: 8000}, 0)
 	for _, m := range ms {
 		if m.Err != nil {
 			t.Fatalf("%s failed: %v", m.Workload.Name, m.Err)
@@ -45,8 +56,8 @@ func TestMeasureSuiteOrderAndDeterminism(t *testing.T) {
 func TestMeasureSuiteCapturesErrors(t *testing.T) {
 	p, _ := workload.ByName(workload.DotNetCategories(), "System.Collections")
 	p.WorkingSetBytes = 190 << 20
-	ms := MeasureSuite([]workload.Profile{p}, machine.CoreI9(),
-		sim.Options{Instructions: 1000, MaxHeapBytes: 200 << 20})
+	ms := measure(t, []workload.Profile{p}, machine.CoreI9(),
+		sim.Options{Instructions: 1000, MaxHeapBytes: 200 << 20}, 0)
 	if ms[0].Err == nil {
 		t.Fatal("expected OOM error to be captured")
 	}
@@ -110,7 +121,7 @@ func TestGroupPCA(t *testing.T) {
 
 func TestSpreadRatioSPECWider(t *testing.T) {
 	// §V-C: SPEC's control-flow spread exceeds the managed suites'.
-	specMs := MeasureSuite(workload.SpecWorkloads()[:10], machine.CoreI9(), sim.Options{Instructions: 8000})
+	specMs := measure(t, workload.SpecWorkloads()[:10], machine.CoreI9(), sim.Options{Instructions: 8000}, 0)
 	dnMs := measureCats(t, 10)
 	specVs, _ := Vectors(specMs)
 	dnVs, _ := Vectors(dnMs)
@@ -127,8 +138,8 @@ func TestExecutionTimesAndValidationFlow(t *testing.T) {
 	// End-to-end §IV-C: measure on two machines, validate a subset.
 	cats := workload.DotNetCategories()[:8]
 	opts := sim.Options{Instructions: 6000}
-	base := MeasureSuite(cats, machine.XeonE5(), opts)
-	fast := MeasureSuite(cats, machine.CoreI9(), opts)
+	base := measure(t, cats, machine.XeonE5(), opts, 0)
+	fast := measure(t, cats, machine.CoreI9(), opts, 0)
 	bt := ExecutionTimes(base)
 	ft := ExecutionTimes(fast)
 	scores, err := subset.Scores(bt, ft)
@@ -208,7 +219,7 @@ func TestMeasureSuiteCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cache := &fakeCache{}
-	ms, err := MeasureSuiteCtx(ctx, cache, workload.DotNetCategories()[:4],
+	ms, err := MeasureSuite(ctx, cache, workload.DotNetCategories()[:4],
 		machine.CoreI9(), sim.Options{Instructions: 2000}, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -221,23 +232,27 @@ func TestMeasureSuiteCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestMeasureSuiteCtxBackground: the ctx path with a live context matches
-// the classic entry point exactly.
+// TestMeasureSuiteCtxBackground: a live cancellable context that is
+// never cancelled yields exactly the measurements of an uncancellable
+// background context; the per-workload cancellation checks do not
+// perturb results.
 func TestMeasureSuiteCtxBackground(t *testing.T) {
 	ps := workload.DotNetCategories()[:4]
 	m := machine.CoreI9()
 	opts := sim.Options{Instructions: 2000}
-	got, err := MeasureSuiteCtx(context.Background(), nil, ps, m, opts, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := MeasureSuite(ctx, nil, ps, m, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := MeasureSuite(ps, m, opts)
+	want := measure(t, ps, m, opts, 2)
 	if len(got) != len(want) {
 		t.Fatalf("got %d measurements, want %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i].Vector != want[i].Vector {
-			t.Fatalf("%s: ctx and classic paths diverge", got[i].Workload.Name)
+			t.Fatalf("%s: live and background contexts diverge", got[i].Workload.Name)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,13 +20,13 @@ func TestMeasureSuiteObs(t *testing.T) {
 	m := machine.CoreI9()
 	opts := sim.Options{Instructions: 3000}
 
-	ref := MeasureSuiteWorkers(ps, m, opts, 2)
+	ref := measure(t, ps, m, opts, 2)
 
 	tr := obs.New()
 	suite := tr.Span("measure", "test-suite")
 	o := opts
 	o.Obs = suite
-	got := MeasureSuiteWorkers(ps, m, o, 2)
+	got := measure(t, ps, m, o, 2)
 	suite.End()
 
 	if !reflect.DeepEqual(got, ref) {
@@ -69,8 +70,14 @@ func TestMeasureSuiteCachedWorkers(t *testing.T) {
 	opts := sim.Options{Instructions: 3000}
 	cache := &countingCache{}
 
-	first := MeasureSuiteCachedWorkers(cache, ps, m, opts, 3)
-	warm := MeasureSuiteCachedWorkers(cache, ps, m, opts, 3)
+	first, err := MeasureSuite(context.Background(), cache, ps, m, opts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := MeasureSuite(context.Background(), cache, ps, m, opts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cache.puts != 1 || cache.gets != 2 {
 		t.Fatalf("cache traffic gets=%d puts=%d, want 2/1", cache.gets, cache.puts)
 	}
@@ -129,7 +136,7 @@ func TestMeasureSuiteWorkersMatchRun(t *testing.T) {
 		t.Fatalf("%d of %d workloads failed; the suite needs both outcomes", failed, len(ps))
 	}
 	for _, workers := range []int{1, 4} {
-		for i, got := range MeasureSuiteWorkers(ps, m, opts, workers) {
+		for i, got := range measure(t, ps, m, opts, workers) {
 			if (got.Err == nil) != (errs[i] == nil) {
 				t.Fatalf("workers=%d %s: error %v, sim.Run error %v", workers, ps[i].Name, got.Err, errs[i])
 			}

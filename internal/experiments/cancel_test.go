@@ -86,7 +86,10 @@ func TestMeasureCancelMidFlight(t *testing.T) {
 
 	// Byte-level equivalence with an undisturbed lab: the cancelled-then-
 	// retried path yields exactly the measurements a clean lab yields.
-	want := core.MeasureSuiteWorkers(ps, m, opts, cfg.Workers)
+	want, err := core.MeasureSuite(context.Background(), nil, ps, m, opts, cfg.Workers)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != len(want) {
 		t.Fatalf("re-measure yielded %d measurements, clean run %d", len(got), len(want))
 	}

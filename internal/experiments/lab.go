@@ -135,7 +135,7 @@ func (l *Lab) measure(ctx context.Context, key string, ps []workload.Profile, m 
 	l.mu.Unlock()
 	span := l.Obs.Span("measure", key)
 	opts.Obs = span
-	e.ms, e.err = core.MeasureSuiteCtx(ctx, l.Store, ps, m, opts, l.Cfg.Workers)
+	e.ms, e.err = core.MeasureSuite(ctx, l.Store, ps, m, opts, l.Cfg.Workers)
 	span.End()
 	l.Obs.Observe("measure.latency", span.Duration())
 	if e.err != nil {
@@ -223,35 +223,26 @@ func (l *Lab) MeasureSuite(ctx context.Context, def *workload.SuiteDef, m *machi
 	return l.measure(ctx, key, ps, m, opts)
 }
 
-// measureWire measures a suite by wire name through the registry.
-func (l *Lab) measureWire(ctx context.Context, wire string, m *machine.Config) ([]core.Measurement, error) {
-	def, ok := l.registry().Lookup(wire)
-	if !ok {
-		return nil, fmt.Errorf("unknown suite %q (want one of %v)", wire, l.SuiteNames())
-	}
-	return l.MeasureSuite(ctx, def, m)
-}
-
 // DotNetCategories measures the 44 .NET category archetypes on m.
 func (l *Lab) DotNetCategories(ctx context.Context, m *machine.Config) ([]core.Measurement, error) {
-	return l.measureWire(ctx, "dotnet", m)
+	return l.MeasureSuiteByName(ctx, "dotnet", m)
 }
 
 // DotNetIndividual measures the individual .NET microbenchmarks on m,
 // honoring the configured limit.
 func (l *Lab) DotNetIndividual(ctx context.Context, m *machine.Config) ([]core.Measurement, error) {
-	return l.measureWire(ctx, "dotnet-individual", m)
+	return l.MeasureSuiteByName(ctx, "dotnet-individual", m)
 }
 
 // AspNet measures the 53 ASP.NET benchmarks on m at their natural core
 // counts.
 func (l *Lab) AspNet(ctx context.Context, m *machine.Config) ([]core.Measurement, error) {
-	return l.measureWire(ctx, "aspnet", m)
+	return l.MeasureSuiteByName(ctx, "aspnet", m)
 }
 
 // Spec measures the SPEC CPU17 catalog on m.
 func (l *Lab) Spec(ctx context.Context, m *machine.Config) ([]core.Measurement, error) {
-	return l.measureWire(ctx, "spec", m)
+	return l.MeasureSuiteByName(ctx, "spec", m)
 }
 
 // TableIVDotNetSubset is the paper's chosen 8-category .NET subset.
@@ -283,20 +274,4 @@ func selectionID(ws []workload.Profile) string {
 		h.Write([]byte{0})
 	}
 	return fmt.Sprintf("%d-%016x", len(ws), h.Sum64())
-}
-
-// subsetMeasurements filters measurements to the named workloads, in the
-// given order. Missing names are skipped.
-func subsetMeasurements(ms []core.Measurement, names []string) []core.Measurement {
-	byName := make(map[string]core.Measurement, len(ms))
-	for _, m := range ms {
-		byName[m.Workload.Name] = m
-	}
-	out := make([]core.Measurement, 0, len(names))
-	for _, n := range names {
-		if m, ok := byName[n]; ok {
-			out = append(out, m)
-		}
-	}
-	return out
 }

@@ -78,15 +78,15 @@ func Sensitivity(ctx context.Context, l *Lab) (*SensitivityResult, error) {
 
 	out := &SensitivityResult{}
 	for _, cfg := range sensitivityConfigs(l.Cfg.Instructions) {
-		dms, err := core.MeasureSuiteCtx(ctx, nil, dn, m, cfg.opts, l.Cfg.Workers)
+		dms, err := core.MeasureSuite(ctx, nil, dn, m, cfg.opts, l.Cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
-		ams, err := core.MeasureSuiteCtx(ctx, nil, asp, m, cfg.opts, l.Cfg.Workers)
+		ams, err := core.MeasureSuite(ctx, nil, asp, m, cfg.opts, l.Cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
-		sms, err := core.MeasureSuiteCtx(ctx, nil, spec, m, cfg.opts, l.Cfg.Workers)
+		sms, err := core.MeasureSuite(ctx, nil, spec, m, cfg.opts, l.Cfg.Workers)
 		if err != nil {
 			return nil, err
 		}

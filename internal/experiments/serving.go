@@ -4,16 +4,12 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/metrics"
 	"repro/internal/workload"
 )
-
-// SuiteNames lists the built-in suites by wire name, in registry order.
-// A Lab extended with external specs accepts more: use Lab.SuiteNames.
-func SuiteNames() []string {
-	return workload.Builtin().Names()
-}
 
 // SuiteNames lists every suite this Lab can measure by wire name, in
 // registration order (built-ins first). These are the values a serving
@@ -59,9 +55,59 @@ func (l *Lab) MeasureSuiteByName(ctx context.Context, suite string, m *machine.C
 }
 
 // FilterMeasurements returns the measurements for the named workloads, in
-// the given order, skipping names the suite does not contain. It is the
-// exported form of the subset selection the Table IV drivers use, for
-// serving requests that ask for specific workloads.
+// the given order, skipping names the suite does not contain: the Table
+// IV drivers' subset selection, and serving requests that ask for
+// specific workloads.
 func FilterMeasurements(ms []core.Measurement, names []string) []core.Measurement {
-	return subsetMeasurements(ms, names)
+	byName := make(map[string]core.Measurement, len(ms))
+	for _, m := range ms {
+		byName[m.Workload.Name] = m
+	}
+	out := make([]core.Measurement, 0, len(names))
+	for _, n := range names {
+		if m, ok := byName[n]; ok {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// MeasureArtifact renders measurements as a typed artifact: one table of
+// the 24 Table I metrics per workload, plus an error column for
+// workloads whose simulation failed (their metric cells are null). It is
+// the one output of a suite measurement, shared by `charnet export` and
+// charnetd's POST /v1/measure.
+func MeasureArtifact(suite string, m *machine.Config, ms []core.Measurement) *artifact.Artifact {
+	a := &artifact.Artifact{
+		Name:  "measure",
+		Title: fmt.Sprintf("suite %s on %s (%d workloads)", suite, m.Name, len(ms)),
+		Paper: "serving",
+	}
+	ids := metrics.All()
+	cols := make([]artifact.Column, 0, len(ids)+2)
+	cols = append(cols, artifact.Column{Name: "workload"})
+	for _, id := range ids {
+		cols = append(cols, artifact.Column{Name: id.Name(), Unit: id.Unit()})
+	}
+	cols = append(cols, artifact.Column{Name: "error"})
+	t := &artifact.Table{Name: "measurements", Title: "measured metric vectors", Columns: cols}
+	for _, mm := range ms {
+		row := make([]artifact.Value, 0, len(cols))
+		row = append(row, artifact.Str(mm.Workload.Name))
+		for _, id := range ids {
+			if mm.Err != nil {
+				row = append(row, artifact.Str(""))
+			} else {
+				row = append(row, artifact.Number(mm.Vector[id]))
+			}
+		}
+		if mm.Err != nil {
+			row = append(row, artifact.Str(mm.Err.Error()))
+		} else {
+			row = append(row, artifact.Str(""))
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	a.Add(t)
+	return a
 }

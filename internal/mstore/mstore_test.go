@@ -2,6 +2,7 @@ package mstore
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -9,10 +10,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -20,6 +22,30 @@ import (
 func testInputs() ([]workload.Profile, *machine.Config, sim.Options) {
 	ps := workload.DotNetCategories()[:6]
 	return ps, machine.CoreI9(), sim.Options{Instructions: 3000}
+}
+
+// measure runs core.MeasureSuite under a background context, which
+// cannot fail; a nil cache measures uncached.
+func measure(t *testing.T, cache core.MeasurementCache, workers int) []core.Measurement {
+	t.Helper()
+	ps, m, opts := testInputs()
+	ms, err := core.MeasureSuite(context.Background(), cache, ps, m, opts, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms
+}
+
+// render is the measurements' one output: the measure artifact as JSON,
+// the bytes `charnet -format json export` and POST /v1/measure emit.
+func render(t *testing.T, ms []core.Measurement) []byte {
+	t.Helper()
+	_, m, _ := testInputs()
+	var b bytes.Buffer
+	if err := artifact.WriteJSON(&b, []*artifact.Artifact{experiments.MeasureArtifact("dotnet", m, ms)}); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }
 
 func TestKeyStability(t *testing.T) {
@@ -57,7 +83,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if _, ok := s.Get(ps, m, opts); ok {
 		t.Fatal("empty store reported a hit")
 	}
-	ms := core.MeasureSuite(ps, m, opts)
+	ms := measure(t, nil, 0)
 	s.Put(ps, m, opts, ms)
 	got, ok := s.Get(ps, m, opts)
 	if !ok {
@@ -80,16 +106,9 @@ func TestPutGetRoundTrip(t *testing.T) {
 			t.Fatalf("[%d] result changed across round-trip", i)
 		}
 	}
-	// The derived report must be byte-identical too.
-	var live, cached bytes.Buffer
-	if err := report.WriteCSV(&live, report.FromMeasurements(ms)); err != nil {
-		t.Fatal(err)
-	}
-	if err := report.WriteCSV(&cached, report.FromMeasurements(got)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(live.Bytes(), cached.Bytes()) {
-		t.Fatal("cached measurements render a different report")
+	// The rendered measure artifact must be byte-identical too.
+	if !bytes.Equal(render(t, got), render(t, ms)) {
+		t.Fatal("cached measurements render a different measure artifact")
 	}
 }
 
@@ -99,7 +118,7 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := core.MeasureSuite(ps, m, opts)
+	ms := measure(t, nil, 0)
 	s.Put(ps, m, opts, ms)
 	key, _ := Key(ps, m, opts)
 	if err := os.WriteFile(filepath.Join(s.Dir(), key+".json"), []byte("{not json"), 0o644); err != nil {
@@ -112,27 +131,20 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 
 // TestMeasureEquivalence is the pipeline's determinism contract made
 // explicit: one worker, many workers and a warm store must produce
-// identical measurements — same vectors, same ordering, same report bytes.
+// identical measurements — same ordering, same vectors, deeply equal
+// results, same measure-artifact bytes.
 func TestMeasureEquivalence(t *testing.T) {
-	ps, m, opts := testInputs()
-	serial := core.MeasureSuiteWorkers(ps, m, opts, 1)
-	parallel := core.MeasureSuiteWorkers(ps, m, opts, 8)
+	serial := measure(t, nil, 1)
+	parallel := measure(t, nil, 8)
 
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := core.MeasureSuiteCached(s, ps, m, opts) // cold: measures and stores
-	warm := core.MeasureSuiteCached(s, ps, m, opts)  // warm: served from disk
+	first := measure(t, s, 0) // cold: measures and stores
+	warm := measure(t, s, 0)  // warm: served from disk
 
-	render := func(ms []core.Measurement) []byte {
-		var b bytes.Buffer
-		if err := report.WriteCSV(&b, report.FromMeasurements(ms)); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes()
-	}
-	ref := render(serial)
+	ref := render(t, serial)
 	for name, ms := range map[string][]core.Measurement{
 		"parallel": parallel, "cold-cached": first, "warm-cached": warm,
 	} {
@@ -146,9 +158,12 @@ func TestMeasureEquivalence(t *testing.T) {
 			if ms[i].Vector != serial[i].Vector {
 				t.Fatalf("%s[%d] (%s): vector differs from serial run", name, i, ms[i].Workload.Name)
 			}
+			if !reflect.DeepEqual(ms[i].Result, serial[i].Result) {
+				t.Fatalf("%s[%d] (%s): result differs from serial run", name, i, ms[i].Workload.Name)
+			}
 		}
-		if !bytes.Equal(render(ms), ref) {
-			t.Fatalf("%s: report bytes differ from serial run", name)
+		if !bytes.Equal(render(t, ms), ref) {
+			t.Fatalf("%s: measure-artifact bytes differ from serial run", name)
 		}
 	}
 }
@@ -175,7 +190,7 @@ func TestObsCountersAndWarnings(t *testing.T) {
 		t.Fatalf("a plain miss must not warn, got %q", log.String())
 	}
 
-	ms := core.MeasureSuite(ps, m, opts)
+	ms := measure(t, nil, 0)
 	s.Put(ps, m, opts, ms)
 	if got := tr.Counter("mstore.puts"); got != 1 {
 		t.Fatalf("mstore.puts = %d, want 1", got)

@@ -1,6 +1,6 @@
 // Package serve is the production core of charnetd, the measurement-
 // serving daemon: an HTTP/JSON service over the cancellable, cached,
-// observable pipeline (experiments.Lab → core.MeasureSuiteCtx).
+// observable pipeline (experiments.Lab → core.MeasureSuite).
 //
 // Endpoints (all JSON payloads reuse the internal/artifact renderers, so
 // a body is byte-identical to `charnet -format json` for the same
@@ -36,7 +36,7 @@
 //   - Token-bucket rate limiting ahead of the queue: an exhausted bucket
 //     sheds with 429 + Retry-After sized to the refill deficit.
 //   - Per-request cancellation: the request context flows into
-//     MeasureSuiteCtx, so a client disconnect aborts server-side
+//     core.MeasureSuite, so a client disconnect aborts server-side
 //     simulation within one workload's sim time and never tears a
 //     measurement-store write.
 //   - Request coalescing: concurrent identical measurements collapse
@@ -63,10 +63,8 @@ import (
 	"time"
 
 	"repro/internal/artifact"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/machine"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -516,7 +514,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 					fmt.Sprintf("no requested workload was sampled in suite %q", req.Suite)}
 			}
 		}
-		return renderArtifacts(measureArtifact(req.Suite, m, ms))
+		return renderArtifacts(experiments.MeasureArtifact(req.Suite, m, ms))
 	}
 	s.finish(w, r, f)
 }
@@ -625,42 +623,4 @@ func machineByName(name string) (*machine.Config, error) {
 		known = append(known, m.Name)
 	}
 	return nil, fmt.Errorf("unknown machine %q (want one of %q)", name, strings.Join(known, `", "`))
-}
-
-// measureArtifact renders measurements as a typed artifact: one table of
-// the 24 Table I metrics per workload, plus an error column for
-// workloads whose simulation failed (their metric cells are null).
-func measureArtifact(suite string, m *machine.Config, ms []core.Measurement) *artifact.Artifact {
-	a := &artifact.Artifact{
-		Name:  "measure",
-		Title: fmt.Sprintf("suite %s on %s (%d workloads)", suite, m.Name, len(ms)),
-		Paper: "serving",
-	}
-	ids := metrics.All()
-	cols := make([]artifact.Column, 0, len(ids)+2)
-	cols = append(cols, artifact.Column{Name: "workload"})
-	for _, id := range ids {
-		cols = append(cols, artifact.Column{Name: id.Name(), Unit: id.Unit()})
-	}
-	cols = append(cols, artifact.Column{Name: "error"})
-	t := &artifact.Table{Name: "measurements", Title: "measured metric vectors", Columns: cols}
-	for _, mm := range ms {
-		row := make([]artifact.Value, 0, len(cols))
-		row = append(row, artifact.Str(mm.Workload.Name))
-		for _, id := range ids {
-			if mm.Err != nil {
-				row = append(row, artifact.Str(""))
-			} else {
-				row = append(row, artifact.Number(mm.Vector[id]))
-			}
-		}
-		if mm.Err != nil {
-			row = append(row, artifact.Str(mm.Err.Error()))
-		} else {
-			row = append(row, artifact.Str(""))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	a.Add(t)
-	return a
 }

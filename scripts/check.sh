@@ -41,7 +41,9 @@
 #                text rendering must grow the external suite's column
 #                and the JSON rendering must still validate
 #   daemon smoke charnetd on an ephemeral port: one /v1/measure request
-#                validated by cmd/artifactcheck, /metrics scraped by
+#                validated by cmd/artifactcheck and compared byte-for-byte
+#                with charnet -format json export of the same suite (one
+#                output for a suite measurement), /metrics scraped by
 #                cmd/metricscheck for the serve.* families, then SIGTERM
 #                and a clean (exit 0) graceful drain
 #
@@ -161,7 +163,7 @@ grep -q "SPEC CPU17 mem" "$specdir/table4.txt" || {
 "$renderdir/charnet" -suite-spec examples/spec2017mem.json -cache "$specdir/mstore" \
     -format json table4 | "$renderdir/artifactcheck"
 
-echo "== daemon smoke (charnetd serve + measure + /metrics scrape + graceful SIGTERM)"
+echo "== daemon smoke (charnetd serve + measure vs export + /metrics scrape + graceful SIGTERM)"
 daemondir="$workdir/daemon"
 mkdir -p "$daemondir"
 go build -o "$daemondir/charnetd" ./cmd/charnetd
@@ -181,6 +183,13 @@ fi
 curl -fsS -X POST -H 'Content-Type: application/json' -d '{"suite":"aspnet"}' \
     "http://$daemonaddr/v1/measure" > "$daemondir/measure.json"
 "$renderdir/artifactcheck" < "$daemondir/measure.json"
+"$renderdir/charnet" -format json export aspnet > "$daemondir/export.json"
+"$renderdir/artifactcheck" < "$daemondir/export.json"
+if ! cmp -s "$daemondir/measure.json" "$daemondir/export.json"; then
+    echo "charnet export and charnetd /v1/measure emit different bytes for aspnet:" >&2
+    diff "$daemondir/measure.json" "$daemondir/export.json" | head -20 >&2 || true
+    exit 1
+fi
 "$teledir/metricscheck" -url "http://$daemonaddr/metrics" -retries 200 -interval 25ms \
     -want charnet_serve_request_latency_seconds,charnet_serve_queue_wait_seconds,charnet_measure_latency_seconds
 kill -TERM "$daemonpid"
