@@ -156,7 +156,7 @@ feed:
 	return out, nil
 }
 
-// measureOne runs one workload on r and derives its metric vector,
+// measureOne runs one workload on r and derives its measurement,
 // reporting the derivation as a child span of the per-workload span in
 // opts.Obs.
 func measureOne(r *sim.Runner, p workload.Profile, m *machine.Config, opts sim.Options) Measurement {
@@ -165,13 +165,22 @@ func measureOne(r *sim.Runner, p workload.Profile, m *machine.Config, opts sim.O
 		return Measurement{Workload: p, Err: err}
 	}
 	dspan := opts.Obs.Child("derive", "")
-	v, err := perf.Normalize(res)
+	ms := Derive(res)
 	dspan.End()
 	opts.Obs.Trace().Observe("sim.phase.derive", dspan.Duration())
+	return ms
+}
+
+// Derive computes the measurement of a completed run: its Table I metric
+// vector, normalized from the run's counters. A run whose counters do not
+// normalize is a failed measurement. A fresh measurement and a
+// measurement-store read both derive here.
+func Derive(res *sim.Result) Measurement {
+	v, err := perf.Normalize(res)
 	if err != nil {
-		return Measurement{Workload: p, Err: err}
+		return Measurement{Workload: res.Workload, Err: err}
 	}
-	return Measurement{Workload: p, Vector: v, Result: res}
+	return Measurement{Workload: res.Workload, Vector: v, Result: res}
 }
 
 // Vectors extracts the metric vectors of successful measurements along

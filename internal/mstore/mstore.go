@@ -10,8 +10,17 @@
 //
 // Layout: one JSON file per suite measurement, dir/<hex key>.json, written
 // atomically (temp file + rename) so concurrent processes sharing a store
-// directory never observe torn entries. Corrupt or unreadable entries are
-// treated as misses, but no failure is silent: every degraded path counts
+// directory never observe torn entries. An entry holds, per workload, only
+// what its key does not determine: the run's merged counters and samples,
+// or its error message. The workload and machine are key inputs and the
+// Top-Down profile and metric vector are functions of the counters, so a
+// read rebuilds each measurement through the code a fresh run uses
+// (sim.NewResult, core.Derive).
+//
+// Corrupt or unreadable entries are treated as misses; an entry is
+// corrupt when it does not parse, names another key or format version,
+// holds the wrong number of records, or holds a record that does not
+// re-derive. No failure is silent: every degraded path counts
 // into the store's obs.Trace (mstore.corrupt, mstore.errors,
 // mstore.put_errors) and warns once per failure class on the log writer
 // (stderr by default), so a store that has quietly stopped caching is
@@ -32,7 +41,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -43,7 +51,9 @@ import (
 // then hash to different keys and are simply never read again.
 // Version 2: workload.Suite became a string (suite-spec registry), so
 // profiles serialize differently inside the key envelope.
-const FormatVersion = 2
+// Version 3: an entry stores only each workload's counters, samples and
+// error; reads re-derive the rest.
+const FormatVersion = 3
 
 // Store is an on-disk core.MeasurementCache rooted at a directory.
 type Store struct {
@@ -123,14 +133,33 @@ func Key(ps []workload.Profile, m *machine.Config, opts sim.Options) (string, er
 	return hex.EncodeToString(h[:]), nil
 }
 
-// rec is the stored form of one core.Measurement. Err does not round-trip
-// as an error value, so it is stored as its message; consumers of cached
-// measurements only nil-check or print measurement errors.
+// rec is the stored form of one core.Measurement: the merged counters and
+// samples of a successful run, or the error of a failed one. Err does not
+// round-trip as an error value, so it is stored as its message; consumers
+// of cached measurements only nil-check or print measurement errors.
 type rec struct {
-	Workload workload.Profile
-	Vector   metrics.Vector
-	Result   *sim.Result `json:",omitempty"`
-	Err      string      `json:",omitempty"`
+	Counters *sim.Counters `json:",omitempty"`
+	Samples  []sim.Sample  `json:",omitempty"`
+	Err      string        `json:",omitempty"`
+}
+
+// measurement rebuilds the measurement of p on m from its record. It
+// fails, making the entry corrupt, unless the record holds either an
+// error alone or counters that re-derive into a successful measurement,
+// which is all Put ever writes.
+func (r *rec) measurement(p workload.Profile, m *machine.Config) (core.Measurement, bool) {
+	if r.Err != "" {
+		return core.Measurement{Workload: p, Err: errors.New(r.Err)}, r.Counters == nil && r.Samples == nil
+	}
+	if r.Counters == nil {
+		return core.Measurement{}, false
+	}
+	res, err := sim.NewResult(p, m, *r.Counters, r.Samples)
+	if err != nil {
+		return core.Measurement{}, false
+	}
+	ms := core.Derive(res)
+	return ms, ms.Err == nil
 }
 
 // entry is the on-disk file body.
@@ -173,21 +202,31 @@ func (s *Store) Get(ps []workload.Profile, m *machine.Config, opts sim.Options) 
 		s.warnOnce("read", "cannot read entry %s: %v", key, err)
 		return nil, false
 	}
-	var e entry
-	if json.Unmarshal(b, &e) != nil || e.Version != FormatVersion ||
-		e.Key != key || len(e.Measurements) != len(ps) {
+	ms, ok := decode(b, key, ps, m)
+	if !ok {
 		s.Obs.Add("mstore.corrupt", 1)
 		s.warnOnce("corrupt", "corrupt entry %s: treating as miss", key)
 		return nil, false
 	}
-	ms := make([]core.Measurement, len(e.Measurements))
-	for i, r := range e.Measurements {
-		ms[i] = core.Measurement{Workload: r.Workload, Vector: r.Vector, Result: r.Result}
-		if r.Err != "" {
-			ms[i].Err = errors.New(r.Err)
+	s.Obs.Add("mstore.hits", 1)
+	return ms, true
+}
+
+// decode parses the entry file b stored under key and rebuilds its
+// measurements of ps on m, or reports the entry corrupt.
+func decode(b []byte, key string, ps []workload.Profile, m *machine.Config) ([]core.Measurement, bool) {
+	var e entry
+	if json.Unmarshal(b, &e) != nil || e.Version != FormatVersion ||
+		e.Key != key || len(e.Measurements) != len(ps) {
+		return nil, false
+	}
+	ms := make([]core.Measurement, len(ps))
+	for i := range e.Measurements {
+		var ok bool
+		if ms[i], ok = e.Measurements[i].measurement(ps[i], m); !ok {
+			return nil, false
 		}
 	}
-	s.Obs.Add("mstore.hits", 1)
 	return ms, true
 }
 
@@ -213,9 +252,13 @@ func (s *Store) put(ps []workload.Profile, m *machine.Config, opts sim.Options, 
 	}
 	recs := make([]rec, len(ms))
 	for i, mm := range ms {
-		recs[i] = rec{Workload: mm.Workload, Vector: mm.Vector, Result: mm.Result}
-		if mm.Err != nil {
+		switch {
+		case mm.Err != nil:
 			recs[i].Err = mm.Err.Error()
+		case mm.Result != nil:
+			recs[i] = rec{Counters: &mm.Result.Counters, Samples: mm.Result.Samples}
+		default:
+			return fmt.Errorf("measurement %d (%s) has neither a result nor an error", i, mm.Workload.Name)
 		}
 	}
 	b, err := json.Marshal(entry{Version: FormatVersion, Key: key, Measurements: recs})

@@ -112,23 +112,6 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCorruptEntryIsAMiss(t *testing.T) {
-	ps, m, opts := testInputs()
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := measure(t, nil, 0)
-	s.Put(ps, m, opts, ms)
-	key, _ := Key(ps, m, opts)
-	if err := os.WriteFile(filepath.Join(s.Dir(), key+".json"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get(ps, m, opts); ok {
-		t.Fatal("corrupt entry should read as a miss")
-	}
-}
-
 // TestMeasureEquivalence is the pipeline's determinism contract made
 // explicit: one worker, many workers and a warm store must produce
 // identical measurements — same ordering, same vectors, deeply equal
@@ -237,6 +220,27 @@ func TestObsCountersAndWarnings(t *testing.T) {
 	}
 	if got := strings.Count(log.String()[len(before):], "cannot store"); got != 1 {
 		t.Fatalf("write warning emitted %d times, want once", got)
+	}
+}
+
+// TestPutRejectsEmptyMeasurement: a measurement with neither a result nor
+// an error has nothing to store, so Put counts a put error and writes no
+// entry.
+func TestPutRejectsEmptyMeasurement(t *testing.T) {
+	ps, m, opts := testInputs()
+	tr := obs.New()
+	s := &Store{dir: t.TempDir(), Obs: tr, Log: io.Discard}
+	ms := measure(t, nil, 0)
+	ms[2] = core.Measurement{Workload: ps[2]}
+	s.Put(ps, m, opts, ms)
+	if got := tr.Counter("mstore.put_errors"); got != 1 {
+		t.Fatalf("mstore.put_errors = %d, want 1", got)
+	}
+	if got := tr.Counter("mstore.puts"); got != 0 {
+		t.Fatalf("mstore.puts = %d, want 0", got)
+	}
+	if _, ok := s.Get(ps, m, opts); ok || tr.Counter("mstore.misses") != 1 {
+		t.Fatal("a rejected put left an entry behind")
 	}
 }
 

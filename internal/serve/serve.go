@@ -17,7 +17,9 @@
 //	                         subset) on a machine; body is an artifact
 //	                         array with the measured metric vectors.
 //	                         Unknown suite, machine or workload names are
-//	                         client errors: 400 with a JSON error body
+//	                         client errors: 400 with a JSON error body; a
+//	                         body over the size limit (measureBodyLimit)
+//	                         is 413
 //
 // Appending ?stream=jsonl to a driver or measure request switches the
 // response to a JSONL progress stream: one {"event":...} object per
@@ -118,6 +120,9 @@ type Server struct {
 	bucket *tokenBucket
 	root   *obs.Span // parent span of all request spans
 
+	// maxMeasureBody bounds a POST /v1/measure body (measureBodyLimit).
+	maxMeasureBody int64
+
 	queue   chan func(lane int)
 	workers sync.WaitGroup // the worker pool
 	admits  sync.WaitGroup // admissions between depth-check and enqueue
@@ -138,11 +143,12 @@ func New(lab *experiments.Lab, tr *obs.Trace, cfg Config) *Server {
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{
-		lab:   lab,
-		tr:    tr,
-		cfg:   cfg,
-		queue: make(chan func(lane int), cfg.QueueDepth),
-		root:  tr.Span("serve", ""),
+		lab:            lab,
+		tr:             tr,
+		cfg:            cfg,
+		maxMeasureBody: measureBodyLimit(lab),
+		queue:          make(chan func(lane int), cfg.QueueDepth),
+		root:           tr.Span("serve", ""),
 	}
 	if cfg.RatePerSec > 0 {
 		s.bucket = newTokenBucket(cfg.RatePerSec, cfg.Burst, tr.Now())
@@ -476,9 +482,15 @@ type measureRequest struct {
 // the measured metric vectors as an artifact array.
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	var req measureRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxMeasureBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			s.respondError(w, &statusError{http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
+			return
+		}
 		s.respondError(w, &statusError{http.StatusBadRequest, fmt.Sprintf("malformed request body: %v", err)})
 		return
 	}
@@ -517,6 +529,31 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		return renderArtifacts(experiments.MeasureArtifact(req.Suite, m, ms))
 	}
 	s.finish(w, r, f)
+}
+
+// measureBodyLimit is the most of a POST /v1/measure body the server
+// reads: twice the size of a request that names every workload of the
+// Lab's largest suite on the longest machine name, plus 4 KiB, which
+// leaves room for whitespace. A longer body is refused with 413.
+func measureBodyLimit(lab *experiments.Lab) int64 {
+	var longest measureRequest
+	for _, m := range machine.All() {
+		if len(m.Name) > len(longest.Machine) {
+			longest.Machine = m.Name
+		}
+	}
+	size := 0
+	for _, def := range lab.Suites() {
+		req := longest
+		req.Suite = def.Wire
+		for _, p := range def.Profiles() {
+			req.Workloads = append(req.Workloads, p.Name)
+		}
+		//charnet:ignore errdiscard a struct of strings always marshals
+		b, _ := json.Marshal(req)
+		size = max(size, len(b))
+	}
+	return int64(2*size + 4<<10)
 }
 
 // unknownWorkloads returns the requested names the suite's catalog does

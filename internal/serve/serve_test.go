@@ -739,6 +739,47 @@ func TestQueuedTaskSkipsWorkAfterDisconnect(t *testing.T) {
 	}
 }
 
+// TestMeasureBodyTooLarge: a measure body past the server's limit is
+// refused with 413 and the usual JSON error body before anything is
+// measured, while a request naming every workload of the largest suite
+// stays within the limit.
+func TestMeasureBodyTooLarge(t *testing.T) {
+	tr := obs.New()
+	lab := quickLab(tr)
+	s, srv := newTestServer(t, lab, tr, Config{Workers: 1, QueueDepth: 4})
+
+	largest := measureRequest{Suite: "dotnet-individual"}
+	def, ok := lab.Suite(largest.Suite)
+	if !ok {
+		t.Fatalf("suite %s is not registered", largest.Suite)
+	}
+	for _, p := range def.Profiles() {
+		largest.Workloads = append(largest.Workloads, p.Name)
+	}
+	b, err := json.Marshal(largest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(b)) > s.maxMeasureBody {
+		t.Fatalf("a %d-byte request naming every workload of %s exceeds the %d-byte limit", len(b), largest.Suite, s.maxMeasureBody)
+	}
+
+	body := `{"suite":"aspnet"` + strings.Repeat(" ", int(s.maxMeasureBody)) + `}`
+	resp, out := postJSON(t, srv, "/v1/measure", body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", resp.StatusCode, out)
+	}
+	var doc struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(out, &doc); err != nil || doc.Error == "" {
+		t.Fatalf("error response not {\"error\":...}: %s", out)
+	}
+	if n := tr.Counter("sim.instructions"); n != 0 {
+		t.Fatalf("an oversized request was measured: sim.instructions = %d", n)
+	}
+}
+
 // TestConfigDefaults pins the documented zero-value resolution.
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()

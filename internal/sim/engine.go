@@ -598,17 +598,29 @@ func (e *engine) finish() (*Result, error) {
 	agg.Slots.Total = agg.Cycles * float64(e.m.IssueWidth)
 	perCoreCycles := agg.Cycles / float64(len(e.cores))
 	agg.WallSeconds = perCoreCycles / (e.m.NomFreq * 1e9)
+	return NewResult(e.p, e.m, agg, e.samples)
+}
 
-	prof, err := topdown.NewProfile(&agg.Slots)
+// NewResult assembles the result of running p on m from the run's merged
+// counters and samples: the core count is the counters' ActiveCores and
+// the Top-Down profile is derived from their slot ledger, which must be
+// consistent. A finished run and a measurement-store read both build
+// their results here, so a stored run reads back exactly as it ran. An
+// empty sample list becomes nil, the form a store read decodes.
+func NewResult(p workload.Profile, m *machine.Config, c Counters, samples []Sample) (*Result, error) {
+	prof, err := topdown.NewProfile(&c.Slots)
 	if err != nil {
 		return nil, fmt.Errorf("sim: inconsistent slot ledger: %w", err)
 	}
+	if len(samples) == 0 {
+		samples = nil
+	}
 	return &Result{
-		Workload: e.p,
-		Machine:  e.m,
-		Cores:    len(e.cores),
-		Counters: agg,
+		Workload: p,
+		Machine:  m,
+		Cores:    c.ActiveCores,
+		Counters: c,
 		Profile:  prof,
-		Samples:  e.samples,
+		Samples:  samples,
 	}, nil
 }

@@ -16,7 +16,7 @@
 #                hide behind file ordering
 #   fuzz budget  every native fuzz target fuzzed for 5 s beyond its seed
 #                corpus (go test -fuzz), so a new crasher on the mem,
-#                rng or cluster boundaries fails here
+#                rng, cluster or mstore-entry boundaries fails here
 #   perfbench    the benchmark module's own tests (cd perfbench && go
 #   smoke        test ./...): tiny runs of all four workloads, every
 #                output checked against perfbench/digests.json, so a
@@ -32,9 +32,12 @@
 #                again checked byte-identical to an untraced run
 #   render smoke charnet -full all diffed byte-for-byte against
 #                docs/full_output.txt (the artifact text renderer must
-#                reproduce the legacy renderings exactly), then the same
-#                drivers as -format json validated by cmd/artifactcheck;
-#                one shared -cache DIR keeps the second pass fast
+#                reproduce the legacy renderings exactly), twice over one
+#                -cache DIR: cold, then warm from the entries the first
+#                pass stored (reads re-derive every measurement from its
+#                counters, so a drift in the last digit fails here); then
+#                the same drivers as -format json validated by
+#                cmd/artifactcheck, again from the warm store
 #   spec smoke   every examples/*.json workload spec validated by
 #                cmd/artifactcheck -spec, then charnet -suite-spec
 #                examples/spec2017mem.json table4 run end-to-end: the
@@ -84,7 +87,7 @@ go test -run=NONE -bench=. -benchtime=1x ./... > /dev/null
 echo "== fuzz budget (5 s per native fuzz target)"
 for target in internal/mem:FuzzCacheAccess internal/mem:FuzzTLBLookup \
     internal/mem:FuzzResetPrewarm internal/cluster:FuzzAgglomerate \
-    internal/rng:FuzzHitMatchesBool; do
+    internal/rng:FuzzHitMatchesBool internal/mstore:FuzzGet; do
     go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 5s "./${target%%:*}"
 done
 
@@ -136,17 +139,19 @@ fi
 grep -q '"name": "telemetry"' "$teledir/telemetry.json" || {
     echo "telemetry run-report artifact missing" >&2; exit 1; }
 
-echo "== render smoke (-full all vs docs/full_output.txt, then -format json | artifactcheck)"
+echo "== render smoke (-full all cold and warm vs docs/full_output.txt, then -format json | artifactcheck)"
 renderdir="$workdir/render"
 mkdir -p "$renderdir"
 go build -o "$renderdir/charnet" ./cmd/charnet
 go build -o "$renderdir/artifactcheck" ./cmd/artifactcheck
-"$renderdir/charnet" -full -cache "$renderdir/mstore" all > "$renderdir/full.txt"
-if ! cmp -s "$renderdir/full.txt" docs/full_output.txt; then
-    echo "charnet -full all diverged from docs/full_output.txt:" >&2
-    diff docs/full_output.txt "$renderdir/full.txt" | head -40 >&2 || true
-    exit 1
-fi
+for pass in cold warm; do
+    "$renderdir/charnet" -full -cache "$renderdir/mstore" all > "$renderdir/full-$pass.txt"
+    if ! cmp -s "$renderdir/full-$pass.txt" docs/full_output.txt; then
+        echo "charnet -full all ($pass store) diverged from docs/full_output.txt:" >&2
+        diff docs/full_output.txt "$renderdir/full-$pass.txt" | head -40 >&2 || true
+        exit 1
+    fi
+done
 "$renderdir/charnet" -full -cache "$renderdir/mstore" -format json all > "$renderdir/full.json"
 "$renderdir/artifactcheck" < "$renderdir/full.json"
 
