@@ -13,6 +13,12 @@
 // are carried by Note payloads, and where a Note already presents a
 // payload's numbers in prose form, the structured twin is marked Hidden so
 // the text renderer does not print the data twice.
+//
+// The JSON renderer is a direct encoder over the closed vocabulary. Its
+// bytes equal what encoding/json's indented Encoder produced from the
+// same artifacts when that was the renderer; TestWriteJSONMatchesReference
+// and FuzzWriteJSON pin this against that implementation, kept as the test
+// reference.
 package artifact
 
 import "strconv"
@@ -45,6 +51,9 @@ type Payload interface {
 	renderText(b *textBuilder)
 	// renderCSV appends the payload's rows to a tidy CSV stream.
 	renderCSV(w *csvWriter, artifact string) error
+	// renderJSON appends the payload's JSON object (null for a nil
+	// payload) to e.
+	renderJSON(e *jsonEncoder)
 }
 
 // Artifact is one driver's complete result: identifying metadata plus the

@@ -87,6 +87,23 @@ type Lab struct {
 	mu    sync.Mutex
 	cache map[string]*measureEntry
 	memo  map[string]*memoEntry
+	plans map[planKey]*suitePlan
+}
+
+// planKey names what a suite's plan depends on: the suite, and for a
+// sampled suite the configured sample limit.
+type planKey struct {
+	def   *workload.SuiteDef
+	limit int
+}
+
+// suitePlan is what MeasureSuite measures for one suite: its profiles (a
+// sampled suite's stride sample) and, for a sampled suite, the selection
+// ID its measure key carries. It is built once per Lab, so a request
+// answered from memory copies no catalog.
+type suitePlan struct {
+	ps  []workload.Profile
+	sel string
 }
 
 // measureEntry is a singleflight cell: the first caller for a key creates
@@ -108,7 +125,12 @@ type memoEntry struct {
 
 // NewLab builds a Lab with the given fidelity.
 func NewLab(cfg Config) *Lab {
-	return &Lab{Cfg: cfg, cache: make(map[string]*measureEntry), memo: make(map[string]*memoEntry)}
+	return &Lab{
+		Cfg:   cfg,
+		cache: make(map[string]*measureEntry),
+		memo:  make(map[string]*memoEntry),
+		plans: make(map[planKey]*suitePlan),
+	}
 }
 
 func (l *Lab) measure(ctx context.Context, key string, ps []workload.Profile, m *machine.Config, opts sim.Options) ([]core.Measurement, error) {
@@ -197,30 +219,50 @@ func (l *Lab) registry() *workload.Registry {
 // deterministic stride sample. Results share the Lab's per-key
 // singleflight and caches.
 func (l *Lab) MeasureSuite(ctx context.Context, def *workload.SuiteDef, m *machine.Config) ([]core.Measurement, error) {
-	ps := def.Profiles()
+	plan := l.plan(def)
 	opts := l.opts()
 	if d := def.Measurement.InstructionsDivisor; d > 0 {
 		opts.Instructions = l.Cfg.Instructions/d + def.Measurement.InstructionsExtra
 	}
-	key := fmt.Sprintf("suite/%s/%s", def.Wire, m.Name)
+	key := "suite/" + def.Wire + "/" + m.Name
 	if def.Measurement.Sampled {
-		if n := l.Cfg.DotNetIndividualLimit; n > 0 && n < len(ps) {
+		// Key on the actual selection, not just its size: two configs with
+		// equal limits but different sampled sets must not collide.
+		key += "/" + plan.sel
+	}
+	return l.measure(ctx, key, plan.ps, m, opts)
+}
+
+// plan returns def's suite plan under the configured sample limit,
+// building it on first use.
+func (l *Lab) plan(def *workload.SuiteDef) *suitePlan {
+	k := planKey{def: def}
+	if def.Measurement.Sampled {
+		k.limit = l.Cfg.DotNetIndividualLimit
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if p, ok := l.plans[k]; ok {
+		return p
+	}
+	p := &suitePlan{ps: def.Profiles()}
+	if def.Measurement.Sampled {
+		if n := k.limit; n > 0 && n < len(p.ps) {
 			// Deterministic stride sample across categories rather than a
 			// prefix, so the limited set still spans the suite. The loop is
 			// bounded by n itself, so the sample is exactly n workloads for
 			// any suite size; max index (n-1)*(len/n) < len.
-			stride := len(ps) / n
+			stride := len(p.ps) / n
 			sel := make([]workload.Profile, n)
 			for i := range sel {
-				sel[i] = ps[i*stride]
+				sel[i] = p.ps[i*stride]
 			}
-			ps = sel
+			p.ps = sel
 		}
-		// Key on the actual selection, not just its size: two configs with
-		// equal limits but different sampled sets must not collide.
-		key = fmt.Sprintf("suite/%s/%s/%s", def.Wire, m.Name, selectionID(ps))
+		p.sel = selectionID(p.ps)
 	}
-	return l.measure(ctx, key, ps, m, opts)
+	l.plans[k] = p
+	return p
 }
 
 // DotNetCategories measures the 44 .NET category archetypes on m.

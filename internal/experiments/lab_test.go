@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -184,5 +186,47 @@ func TestDotNetIndividualKeyedOnSelection(t *testing.T) {
 	// workloads past index 0).
 	if a[1].Workload.Name == b[1].Workload.Name {
 		t.Fatalf("different limits picked the same second workload %q — key collision suspected", a[1].Workload.Name)
+	}
+}
+
+// TestWarmMeasureSuiteCopiesNoCatalog: once a sampled suite is measured,
+// answering it again from memory allocates far less than one copy of its
+// 2906-profile catalog (about 720 KB), and the measure key, which names
+// the "measure" trace span, keeps its recorded form.
+func TestWarmMeasureSuiteCopiesNoCatalog(t *testing.T) {
+	cfg := Quick()
+	cfg.Instructions = 2000
+	cfg.DotNetIndividualLimit = 4
+	lab := NewLab(cfg)
+	lab.Obs = obs.New()
+	def, ok := lab.Suite("dotnet-individual")
+	if !ok {
+		t.Fatal("dotnet-individual not registered")
+	}
+	ctx := context.Background()
+	m := machine.CoreI9()
+	first, err := lab.MeasureSuite(ctx, def, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		ms, err := lab.MeasureSuite(ctx, def, m)
+		if err != nil || len(ms) != len(first) || &ms[0] != &first[0] {
+			t.Fatalf("warm call %d: %d measurements, err %v; want the cached %d", i, len(ms), err, len(first))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 16<<10 {
+		t.Errorf("a warm MeasureSuite allocates %d bytes per call, want under 16 KiB (no catalog copy)", perCall)
+	}
+
+	const key = "suite/dotnet-individual/Intel Core i9-9980XE/4-5c37347d8df22864"
+	phases := lab.Obs.Phases()
+	if len(phases) != 1 || phases[0].Name != key {
+		t.Errorf("measure spans %v, want one named %q", phases, key)
 	}
 }

@@ -59,14 +59,16 @@ func (l *Lab) MeasureSuiteByName(ctx context.Context, suite string, m *machine.C
 // IV drivers' subset selection, and serving requests that ask for
 // specific workloads.
 func FilterMeasurements(ms []core.Measurement, names []string) []core.Measurement {
-	byName := make(map[string]core.Measurement, len(ms))
-	for _, m := range ms {
-		byName[m.Workload.Name] = m
+	// Map names to indices: copying every measurement of a suite into the
+	// map would cost more than the handful the filter keeps.
+	byName := make(map[string]int, len(ms))
+	for i := range ms {
+		byName[ms[i].Workload.Name] = i
 	}
 	out := make([]core.Measurement, 0, len(names))
 	for _, n := range names {
-		if m, ok := byName[n]; ok {
-			out = append(out, m)
+		if i, ok := byName[n]; ok {
+			out = append(out, ms[i])
 		}
 	}
 	return out

@@ -16,7 +16,9 @@
 #                hide behind file ordering
 #   fuzz budget  every native fuzz target fuzzed for 5 s beyond its seed
 #                corpus (go test -fuzz), so a new crasher on the mem,
-#                rng, cluster or mstore-entry boundaries fails here
+#                rng, cluster or mstore-entry boundaries, or a JSON
+#                artifact rendering that departs from the encoding/json
+#                reference, fails here
 #   perfbench    the benchmark module's own tests (cd perfbench && go
 #   smoke        test ./...): tiny runs of all four workloads, every
 #                output checked against perfbench/digests.json, so a
@@ -87,7 +89,8 @@ go test -run=NONE -bench=. -benchtime=1x ./... > /dev/null
 echo "== fuzz budget (5 s per native fuzz target)"
 for target in internal/mem:FuzzCacheAccess internal/mem:FuzzTLBLookup \
     internal/mem:FuzzResetPrewarm internal/cluster:FuzzAgglomerate \
-    internal/rng:FuzzHitMatchesBool internal/mstore:FuzzGet; do
+    internal/rng:FuzzHitMatchesBool internal/mstore:FuzzGet \
+    internal/artifact:FuzzWriteJSON; do
     go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 5s "./${target%%:*}"
 done
 
