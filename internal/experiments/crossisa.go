@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/artifact"
-	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/subset"
 )
@@ -37,34 +35,25 @@ func CrossISA(ctx context.Context, l *Lab) (*CrossISAResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	x86, err := l.DotNetCategories(ctx, x86M)
+	chX86, err := l.characterize(ctx, "dotnet", x86M)
 	if err != nil {
 		return nil, err
 	}
-	arm, err := l.DotNetCategories(ctx, armM)
-	if err != nil {
-		return nil, err
-	}
-
-	x86Scores, err := machineScores(base, x86)
-	if err != nil {
-		return nil, err
-	}
-	armScores, err := machineScores(base, arm)
+	chArm, err := l.characterize(ctx, "dotnet", armM)
 	if err != nil {
 		return nil, err
 	}
 
-	chX86, err := core.Characterize(x86, 4, cluster.Average)
+	x86Scores, err := machineScores(base, chX86.Measurements)
 	if err != nil {
 		return nil, err
 	}
+	armScores, err := machineScores(base, chArm.Measurements)
+	if err != nil {
+		return nil, err
+	}
+
 	selX86 := chX86.Subset(8)
-
-	chArm, err := core.Characterize(arm, 4, cluster.Average)
-	if err != nil {
-		return nil, err
-	}
 	selArm := chArm.Subset(8)
 
 	out := &CrossISAResult{

@@ -20,6 +20,7 @@ import (
 	"io"
 	"sync"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -64,7 +65,7 @@ func Full() Config {
 	}
 }
 
-// Lab caches suite measurements per (suite, machine).
+// Lab caches suite measurements, and their fits, per (suite, machine).
 type Lab struct {
 	Cfg Config
 
@@ -177,8 +178,9 @@ func (l *Lab) measure(ctx context.Context, key string, ps []workload.Profile, m 
 // singleflight-with-eviction discipline as measure: concurrent callers
 // wait for the leader, a failed computation is evicted so later callers
 // retry, and a successful one is served from memory forever after. It
-// exists for derived results two drivers share — Figs 11 and 12 both
-// consume the ASP.NET core-count sweep.
+// exists for derived results drivers share: Figs 11 and 12 both consume
+// the ASP.NET core-count sweep, and five drivers share suite fits
+// (characterize).
 func (l *Lab) once(ctx context.Context, key string, f func(context.Context) (any, error)) (any, error) {
 	l.mu.Lock()
 	if e, ok := l.memo[key]; ok {
@@ -219,18 +221,56 @@ func (l *Lab) registry() *workload.Registry {
 // deterministic stride sample. Results share the Lab's per-key
 // singleflight and caches.
 func (l *Lab) MeasureSuite(ctx context.Context, def *workload.SuiteDef, m *machine.Config) ([]core.Measurement, error) {
-	plan := l.plan(def)
+	key, plan := l.measureKey(def, m)
 	opts := l.opts()
 	if d := def.Measurement.InstructionsDivisor; d > 0 {
 		opts.Instructions = l.Cfg.Instructions/d + def.Measurement.InstructionsExtra
 	}
+	return l.measure(ctx, key, plan.ps, m, opts)
+}
+
+// measureKey returns the key of def's measurement on m in the Lab's
+// caches, and def's plan.
+func (l *Lab) measureKey(def *workload.SuiteDef, m *machine.Config) (string, *suitePlan) {
+	plan := l.plan(def)
 	key := "suite/" + def.Wire + "/" + m.Name
 	if def.Measurement.Sampled {
 		// Key on the actual selection, not just its size: two configs with
 		// equal limits but different sampled sets must not collide.
 		key += "/" + plan.sel
 	}
-	return l.measure(ctx, key, plan.ps, m, opts)
+	return key, plan
+}
+
+// characterize returns the §IV model of the named suite on m:
+// core.Characterize over its measurements, with the top four principal
+// components and average linkage. Table III, Table IV, Figs 1 and 2 and
+// the cross-ISA study fit the same suites, so the Lab fits each
+// measurement once, keyed on its measure key, and counts every call it
+// answers without fitting in lab.characterize.hits. Drivers may run
+// concurrently on one Lab and share the result, so none may modify it.
+func (l *Lab) characterize(ctx context.Context, suite string, m *machine.Config) (*core.Characterization, error) {
+	def, err := l.lookup(suite)
+	if err != nil {
+		return nil, err
+	}
+	key, _ := l.measureKey(def, m)
+	hit := true
+	v, err := l.once(ctx, "characterize/"+key, func(ctx context.Context) (any, error) {
+		hit = false
+		ms, err := l.MeasureSuite(ctx, def, m)
+		if err != nil {
+			return nil, err
+		}
+		return core.Characterize(ms, 4, cluster.Average)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if hit {
+		l.Obs.Add("lab.characterize.hits", 1)
+	}
+	return v.(*core.Characterization), nil
 }
 
 // plan returns def's suite plan under the configured sample limit,

@@ -7,8 +7,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/mstore"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -228,5 +230,96 @@ func TestWarmMeasureSuiteCopiesNoCatalog(t *testing.T) {
 	phases := lab.Obs.Phases()
 	if len(phases) != 1 || phases[0].Name != key {
 		t.Errorf("measure spans %v, want one named %q", phases, key)
+	}
+}
+
+// fitDrivers are the drivers that fit suites through Lab.characterize:
+// between them they ask for 9 fits of 5 suite measurements.
+var fitDrivers = []string{"table3", "table4", "fig1", "fig2", "crossisa"}
+
+// fitConfig is the tiny configuration TestWarmStoreEqualsCold runs.
+func fitConfig() Config {
+	cfg := Quick()
+	cfg.Instructions = 2000
+	cfg.DotNetIndividualLimit = 40
+	cfg.CoreSweep = []int{1, 4}
+	return cfg
+}
+
+// runFitDrivers runs fitDrivers on lab, all at once when concurrent, and
+// returns each one's text rendering.
+func runFitDrivers(t *testing.T, lab *Lab, concurrent bool) []string {
+	t.Helper()
+	texts := make([]string, len(fitDrivers))
+	errs := make([]error, len(fitDrivers))
+	var wg sync.WaitGroup
+	for i, name := range fitDrivers {
+		d, ok := DriverByName(name)
+		if !ok {
+			t.Fatalf("driver %s is not registered", name)
+		}
+		run := func() {
+			res, err := d.Run(context.Background(), lab)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			texts[i] = artifact.Text(res.Artifact())
+		}
+		if !concurrent {
+			run()
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("%s: %v", fitDrivers[i], err)
+		}
+	}
+	return texts
+}
+
+// TestCharacterizeOncePerSuite: on one Lab, the fitting drivers fit each
+// suite measurement once, and answer the other 4 of their 9 fits from
+// the Lab.
+func TestCharacterizeOncePerSuite(t *testing.T) {
+	lab := NewLab(fitConfig())
+	lab.Obs = obs.New()
+	runFitDrivers(t, lab, false)
+	if got := lab.Obs.Counter("lab.characterize.hits"); got != 4 {
+		t.Fatalf("lab.characterize.hits = %d, want 4 (9 fits of 5 suite measurements)", got)
+	}
+}
+
+// TestConcurrentDriversShareFits runs the fitting drivers concurrently on
+// one Lab, as charnetd does. Each must render the text of a sequential
+// run, the shared fits must still be made once each, and under -race no
+// driver may write to a fit another one reads. The concurrent Lab reads
+// the sequential run's store, so it fits without simulating.
+func TestConcurrentDriversShareFits(t *testing.T) {
+	store, err := mstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := NewLab(fitConfig())
+	seq.Store = store
+	want := runFitDrivers(t, seq, false)
+	lab := NewLab(fitConfig())
+	lab.Store = store
+	lab.Obs = obs.New()
+	got := runFitDrivers(t, lab, true)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s: concurrent text differs from the sequential run", fitDrivers[i])
+		}
+	}
+	if hits := lab.Obs.Counter("lab.characterize.hits"); hits != 4 {
+		t.Errorf("lab.characterize.hits = %d, want 4", hits)
 	}
 }

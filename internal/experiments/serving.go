@@ -47,11 +47,20 @@ func (l *Lab) externalSuites() []*workload.SuiteDef {
 // sharing the Lab's per-key singleflight and caches, so concurrent
 // identical serving requests coalesce into one measurement.
 func (l *Lab) MeasureSuiteByName(ctx context.Context, suite string, m *machine.Config) ([]core.Measurement, error) {
+	def, err := l.lookup(suite)
+	if err != nil {
+		return nil, err
+	}
+	return l.MeasureSuite(ctx, def, m)
+}
+
+// lookup resolves a wire-named suite through the registry.
+func (l *Lab) lookup(suite string) (*workload.SuiteDef, error) {
 	def, ok := l.registry().Lookup(suite)
 	if !ok {
 		return nil, fmt.Errorf("unknown suite %q (want one of %v)", suite, l.SuiteNames())
 	}
-	return l.MeasureSuite(ctx, def, m)
+	return def, nil
 }
 
 // FilterMeasurements returns the measurements for the named workloads, in

@@ -55,22 +55,14 @@ func pcaSummary(ch *core.Characterization) ([][]pca.Loading, []float64, float64,
 // then on every registered external suite.
 func TableIII(ctx context.Context, l *Lab) (*TableIIIResult, error) {
 	m := machine.CoreI9()
-	ms, err := l.DotNetCategories(ctx, m)
-	if err != nil {
-		return nil, err
-	}
-	ch, err := core.Characterize(ms, 4, cluster.Average)
+	ch, err := l.characterize(ctx, "dotnet", m)
 	if err != nil {
 		return nil, err
 	}
 	res := &TableIIIResult{}
 	res.Components, res.Variance, res.CumVariance4, res.KaiserCount = pcaSummary(ch)
 	for _, def := range l.externalSuites() {
-		ems, err := l.MeasureSuite(ctx, def, m)
-		if err != nil {
-			return nil, err
-		}
-		ech, err := core.Characterize(ems, 4, cluster.Average)
+		ech, err := l.characterize(ctx, def.Wire, m)
 		if err != nil {
 			return nil, fmt.Errorf("suite %s: %w", def.Wire, err)
 		}
@@ -179,11 +171,7 @@ func TableIV(ctx context.Context, l *Lab) (*TableIVResult, error) {
 	m := machine.CoreI9()
 	out := &TableIVResult{Descriptions: map[string]string{}}
 	for _, def := range l.characterizationSuites() {
-		ms, err := l.MeasureSuite(ctx, def, m)
-		if err != nil {
-			return nil, err
-		}
-		ch, err := core.Characterize(ms, 4, cluster.Average)
+		ch, err := l.characterize(ctx, def.Wire, m)
 		if err != nil {
 			return nil, fmt.Errorf("suite %s: %w", def.Wire, err)
 		}
@@ -192,7 +180,7 @@ func TableIV(ctx context.Context, l *Lab) (*TableIVResult, error) {
 			Title: def.Suite.String(),
 			Names: ch.SubsetNames(ch.Subset(8)),
 		})
-		for _, meas := range ms {
+		for _, meas := range ch.Measurements {
 			if meas.Err == nil && meas.Workload.Description != "" {
 				out.Descriptions[meas.Workload.Name] = meas.Workload.Description
 			}
@@ -264,42 +252,35 @@ type Figure1Suite struct {
 	Subset     []string
 }
 
-// figure1Suite clusters one suite's measurements for the dendrogram.
-func figure1Suite(ms []core.Measurement) (*cluster.Dendrogram, []string, []string, error) {
-	ch, err := core.Characterize(ms, 4, cluster.Average)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	labels := make([]string, 0, len(ms))
-	for _, m := range ms {
+// figure1Suite returns one suite's dendrogram, its leaf labels and its
+// 8-cut representatives.
+func figure1Suite(ch *core.Characterization) (*cluster.Dendrogram, []string, []string) {
+	labels := make([]string, 0, len(ch.Measurements))
+	for _, m := range ch.Measurements {
 		if m.Err == nil {
 			labels = append(labels, m.Workload.Name)
 		}
 	}
-	return ch.Dendrogram, labels, ch.SubsetNames(ch.Subset(8)), nil
+	return ch.Dendrogram, labels, ch.SubsetNames(ch.Subset(8))
 }
 
 // Figure1 clusters the .NET categories and marks the 8-cut
 // representatives, then does the same for every external suite.
 func Figure1(ctx context.Context, l *Lab) (*Figure1Result, error) {
 	m := machine.CoreI9()
-	ms, err := l.DotNetCategories(ctx, m)
+	ch, err := l.characterize(ctx, "dotnet", m)
 	if err != nil {
 		return nil, err
 	}
 	res := &Figure1Result{}
-	if res.Dendrogram, res.Labels, res.Subset, err = figure1Suite(ms); err != nil {
-		return nil, err
-	}
+	res.Dendrogram, res.Labels, res.Subset = figure1Suite(ch)
 	for _, def := range l.externalSuites() {
-		ems, err := l.MeasureSuite(ctx, def, m)
+		ech, err := l.characterize(ctx, def.Wire, m)
 		if err != nil {
-			return nil, err
-		}
-		es := Figure1Suite{Wire: def.Wire, Title: def.Suite.String()}
-		if es.Dendrogram, es.Labels, es.Subset, err = figure1Suite(ems); err != nil {
 			return nil, fmt.Errorf("suite %s: %w", def.Wire, err)
 		}
+		es := Figure1Suite{Wire: def.Wire, Title: def.Suite.String()}
+		es.Dendrogram, es.Labels, es.Subset = figure1Suite(ech)
 		res.External = append(res.External, es)
 	}
 	return res, nil
@@ -375,15 +356,11 @@ func Figure2(ctx context.Context, l *Lab) (*Figure2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fastCats, err := l.DotNetCategories(ctx, fastM)
+	chA, err := l.characterize(ctx, "dotnet", fastM)
 	if err != nil {
 		return nil, err
 	}
-	scoresA, err := machineScores(baseCats, fastCats)
-	if err != nil {
-		return nil, err
-	}
-	chA, err := core.Characterize(fastCats, 4, cluster.Average)
+	scoresA, err := machineScores(baseCats, chA.Measurements)
 	if err != nil {
 		return nil, err
 	}
@@ -399,15 +376,11 @@ func Figure2(ctx context.Context, l *Lab) (*Figure2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fastInd, err := l.DotNetIndividual(ctx, fastM)
+	chB, err := l.characterize(ctx, "dotnet-individual", fastM)
 	if err != nil {
 		return nil, err
 	}
-	scoresB, err := machineScores(baseInd, fastInd)
-	if err != nil {
-		return nil, err
-	}
-	chB, err := core.Characterize(fastInd, 4, cluster.Average)
+	scoresB, err := machineScores(baseInd, chB.Measurements)
 	if err != nil {
 		return nil, err
 	}
@@ -426,15 +399,11 @@ func Figure2(ctx context.Context, l *Lab) (*Figure2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		fastE, err := l.MeasureSuite(ctx, def, fastM)
-		if err != nil {
-			return nil, err
-		}
-		scoresE, err := machineScores(baseE, fastE)
+		chE, err := l.characterize(ctx, def.Wire, fastM)
 		if err != nil {
 			return nil, fmt.Errorf("suite %s: %w", def.Wire, err)
 		}
-		chE, err := core.Characterize(fastE, 4, cluster.Average)
+		scoresE, err := machineScores(baseE, chE.Measurements)
 		if err != nil {
 			return nil, fmt.Errorf("suite %s: %w", def.Wire, err)
 		}

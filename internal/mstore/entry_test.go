@@ -1,11 +1,14 @@
 package mstore
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,9 +21,10 @@ import (
 )
 
 // entryInputs are the fixed inputs of the entry-decoding tests and of
-// FuzzGet: two workloads, so an entry is small enough to fuzz quickly.
+// FuzzGet: two workloads, so an entry is small enough to fuzz quickly,
+// sampled so that the measured one's record holds samples.
 func entryInputs() ([]workload.Profile, *machine.Config, sim.Options) {
-	return workload.DotNetCategories()[:2], machine.CoreI9(), sim.Options{Instructions: 3000}
+	return workload.DotNetCategories()[:2], machine.CoreI9(), sim.Options{Instructions: 3000, SampleInterval: 2000}
 }
 
 // entryShape is one entry file body for entryInputs and whether Get
@@ -44,6 +48,9 @@ func entryShapes(t testing.TB) []entryShape {
 	if ms[0].Err != nil {
 		t.Fatalf("measuring %s: %v", ps[0].Name, ms[0].Err)
 	}
+	if len(ms[0].Result.Samples) == 0 {
+		t.Fatalf("measuring %s took no samples", ps[0].Name)
+	}
 	ms[1] = core.Measurement{Workload: ps[1], Err: errors.New("clr: OutOfMemory")}
 	s := &Store{dir: t.TempDir(), Log: io.Discard}
 	s.Put(ps, m, opts, ms)
@@ -61,28 +68,73 @@ func entryShapes(t testing.TB) []entryShape {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edit := func(f func(e *entry)) []byte {
-		var e entry
-		if err := json.Unmarshal(valid, &e); err != nil {
-			t.Fatal(err)
+	body, ok := entryBody(valid, key)
+	if !ok {
+		t.Fatal("the stored entry has no records body")
+	}
+	raw, err := b64.DecodeString(string(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The records: a count word, record 0 (counters) at offset 8, its
+	// sample count after the counter words, then record 1 (an error).
+	const rec0 = 8
+	samples := rec0 + 1 + 8*len(counterWords)
+	rec1 := samples + 8 + 8*len(sampleWords)*len(ms[0].Result.Samples)
+	edit := func(f func(raw []byte) []byte) []byte {
+		return entryFile(key, f(bytes.Clone(raw)))
+	}
+	setWord := func(off int, v uint64) []byte {
+		return edit(func(raw []byte) []byte {
+			binary.LittleEndian.PutUint64(raw[off:], v)
+			return raw
+		})
+	}
+	counter := func(name string) int { // the named counter's offset in record 0
+		for i, w := range counterWords {
+			if w.name == name {
+				return rec0 + 1 + 8*i
+			}
 		}
-		f(&e)
-		b, err := json.Marshal(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+		t.Fatalf("no counter word %s", name)
+		return 0
+	}
+	at := len(valid) - len(entryTail) - len(body) // where the body starts
+	splice := func(i, drop int, with string) []byte {
+		return append(append(bytes.Clone(valid[:i]), with...), valid[i+drop:]...)
+	}
+	var reindented bytes.Buffer
+	if err := json.Indent(&reindented, valid, "", "  "); err != nil {
+		t.Fatal(err)
 	}
 	return []entryShape{
 		{"valid", valid, true},
 		{"truncated", valid[:len(valid)/2], false},
-		{"version-2", edit(func(e *entry) { e.Version = 2 }), false},
-		{"wrong-key", edit(func(e *entry) { e.Key = otherKey }), false},
-		{"wrong-count", edit(func(e *entry) { e.Measurements = e.Measurements[:1] }), false},
-		{"empty-record", edit(func(e *entry) { e.Measurements[0] = rec{} }), false},
-		{"counters-and-error", edit(func(e *entry) { e.Measurements[0].Err = "boom" }), false},
-		{"zero-instructions", edit(func(e *entry) { e.Measurements[0].Counters.Instructions = 0 }), false},
-		{"rejected-slots", edit(func(e *entry) { e.Measurements[0].Counters.Slots.BadSpec = -1 }), false},
+		{"version-3", bytes.Replace(valid, []byte(`"Version":4`), []byte(`"Version":3`), 1), false},
+		{"wrong-key", entryFile(otherKey, raw), false},
+		{"wrong-count", edit(func(raw []byte) []byte {
+			binary.LittleEndian.PutUint64(raw, 1)
+			return raw[:rec1]
+		}), false},
+		{"zero-instructions", setWord(counter("Instructions"), 0), false},
+		{"rejected-slots", setWord(counter("Slots.BadSpec"), math.Float64bits(-1)), false},
+		{"unknown-kind", edit(func(raw []byte) []byte {
+			raw[rec1] = 3
+			return raw
+		}), false},
+		{"samples-past-end", setWord(samples, uint64(len(raw)-samples-8)/uint64(8*len(sampleWords))+1), false},
+		{"trailing-bytes", edit(func(raw []byte) []byte { return append(raw, 0) }), false},
+		{"nan-float", setWord(counter("Cycles"), math.Float64bits(math.NaN())), false},
+		{"inf-float", setWord(counter("WallSeconds"), math.Float64bits(math.Inf(1))), false},
+		// An error record with an empty message holds neither counters nor
+		// an error.
+		{"empty-record", edit(func(raw []byte) []byte {
+			binary.LittleEndian.PutUint64(raw[rec1+1:], 0)
+			return raw[:rec1+9]
+		}), false},
+		{"invalid-base64", splice(at, 1, "!"), false},
+		{"embedded-newline", splice(at+len(body)/2, 0, "\n"), false},
+		{"reindented", reindented.Bytes(), false},
 	}
 }
 
@@ -151,7 +203,8 @@ func TestFuzzGetCorpusIsCurrent(t *testing.T) {
 // FuzzGet writes arbitrary bytes as the entry file of entryInputs and
 // reads it back. Get must never panic; it either misses or returns one
 // measurement per workload, each of its own workload and holding exactly
-// one of a result and an error.
+// one of a result and an error, from exactly the bytes Put writes for
+// those measurements.
 func FuzzGet(f *testing.F) {
 	ps, m, opts := entryInputs()
 	key, err := Key(ps, m, opts)
@@ -177,6 +230,9 @@ func FuzzGet(f *testing.F) {
 			if (mm.Result == nil) == (mm.Err == nil) {
 				t.Fatalf("[%d] result set = %v, error set = %v; want exactly one", i, mm.Result != nil, mm.Err != nil)
 			}
+		}
+		if enc, err := encodeEntry(key, ms); err != nil || !bytes.Equal(enc, b) {
+			t.Fatalf("Get served an entry Put would not write (re-encoding error %v)", err)
 		}
 	})
 }

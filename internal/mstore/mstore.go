@@ -8,7 +8,7 @@
 // serialization format changes the key and transparently invalidates the
 // entry.
 //
-// Layout: one JSON file per suite measurement, dir/<hex key>.json, written
+// Layout: one file per suite measurement, dir/<hex key>.json, written
 // atomically (temp file + rename) so concurrent processes sharing a store
 // directory never observe torn entries. An entry holds, per workload, only
 // what its key does not determine: the run's merged counters and samples,
@@ -17,10 +17,30 @@
 // read rebuilds each measurement through the code a fresh run uses
 // (sim.NewResult, core.Derive).
 //
-// Corrupt or unreadable entries are treated as misses; an entry is
-// corrupt when it does not parse, names another key or format version,
-// holds the wrong number of records, or holds a record that does not
-// re-derive. No failure is silent: every degraded path counts
+// The file is one JSON object with fixed bytes around its key and
+// records:
+//
+//	{"Version":4,"Key":"<hex key>","Records":"<base64>"}
+//
+// The records are fixed-layout little-endian words, base64-encoded
+// (standard alphabet, padded): a record count, then one record per
+// workload in order. A counters record is the byte 1, the fields of
+// sim.Counters (topdown.Slots inlined) as 8-byte words in declaration
+// order, a sample count and the fields of each sim.Sample the same way.
+// Floats are stored as their IEEE 754 bits, ints as int64. An error
+// record is the byte 2, a message length and the message. Put writes
+// these bytes directly and Get checks them directly; neither runs
+// encoding/json.
+//
+// Corrupt or unreadable entries are treated as misses. An entry is
+// corrupt unless its bytes are exactly what Put writes for its key: any
+// other JSON, even one encoding/json would read the same, is corrupt, as
+// is a body with bytes the base64 encoding does not produce (a newline,
+// nonzero padding bits), a record count other than the number of
+// workloads, a record of unknown kind, a length past the end of the
+// records, trailing bytes, a float that is not finite, an empty error
+// message, or counters that do not re-derive. Put refuses to write what
+// Get would reject. No failure is silent: every degraded path counts
 // into the store's obs.Trace (mstore.corrupt, mstore.errors,
 // mstore.put_errors) and warns once per failure class on the log writer
 // (stderr by default), so a store that has quietly stopped caching is
@@ -53,7 +73,8 @@ import (
 // profiles serialize differently inside the key envelope.
 // Version 3: an entry stores only each workload's counters, samples and
 // error; reads re-derive the rest.
-const FormatVersion = 3
+// Version 4: the records are fixed-layout words in base64, not JSON.
+const FormatVersion = 4
 
 // Store is an on-disk core.MeasurementCache rooted at a directory.
 type Store struct {
@@ -133,42 +154,6 @@ func Key(ps []workload.Profile, m *machine.Config, opts sim.Options) (string, er
 	return hex.EncodeToString(h[:]), nil
 }
 
-// rec is the stored form of one core.Measurement: the merged counters and
-// samples of a successful run, or the error of a failed one. Err does not
-// round-trip as an error value, so it is stored as its message; consumers
-// of cached measurements only nil-check or print measurement errors.
-type rec struct {
-	Counters *sim.Counters `json:",omitempty"`
-	Samples  []sim.Sample  `json:",omitempty"`
-	Err      string        `json:",omitempty"`
-}
-
-// measurement rebuilds the measurement of p on m from its record. It
-// fails, making the entry corrupt, unless the record holds either an
-// error alone or counters that re-derive into a successful measurement,
-// which is all Put ever writes.
-func (r *rec) measurement(p workload.Profile, m *machine.Config) (core.Measurement, bool) {
-	if r.Err != "" {
-		return core.Measurement{Workload: p, Err: errors.New(r.Err)}, r.Counters == nil && r.Samples == nil
-	}
-	if r.Counters == nil {
-		return core.Measurement{}, false
-	}
-	res, err := sim.NewResult(p, m, *r.Counters, r.Samples)
-	if err != nil {
-		return core.Measurement{}, false
-	}
-	ms := core.Derive(res)
-	return ms, ms.Err == nil
-}
-
-// entry is the on-disk file body.
-type entry struct {
-	Version      int
-	Key          string
-	Measurements []rec
-}
-
 func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key+".json")
 }
@@ -202,31 +187,13 @@ func (s *Store) Get(ps []workload.Profile, m *machine.Config, opts sim.Options) 
 		s.warnOnce("read", "cannot read entry %s: %v", key, err)
 		return nil, false
 	}
-	ms, ok := decode(b, key, ps, m)
+	ms, ok := decodeEntry(b, key, ps, m)
 	if !ok {
 		s.Obs.Add("mstore.corrupt", 1)
 		s.warnOnce("corrupt", "corrupt entry %s: treating as miss", key)
 		return nil, false
 	}
 	s.Obs.Add("mstore.hits", 1)
-	return ms, true
-}
-
-// decode parses the entry file b stored under key and rebuilds its
-// measurements of ps on m, or reports the entry corrupt.
-func decode(b []byte, key string, ps []workload.Profile, m *machine.Config) ([]core.Measurement, bool) {
-	var e entry
-	if json.Unmarshal(b, &e) != nil || e.Version != FormatVersion ||
-		e.Key != key || len(e.Measurements) != len(ps) {
-		return nil, false
-	}
-	ms := make([]core.Measurement, len(ps))
-	for i := range e.Measurements {
-		var ok bool
-		if ms[i], ok = e.Measurements[i].measurement(ps[i], m); !ok {
-			return nil, false
-		}
-	}
 	return ms, true
 }
 
@@ -250,20 +217,9 @@ func (s *Store) put(ps []workload.Profile, m *machine.Config, opts sim.Options, 
 	if err != nil {
 		return err
 	}
-	recs := make([]rec, len(ms))
-	for i, mm := range ms {
-		switch {
-		case mm.Err != nil:
-			recs[i].Err = mm.Err.Error()
-		case mm.Result != nil:
-			recs[i] = rec{Counters: &mm.Result.Counters, Samples: mm.Result.Samples}
-		default:
-			return fmt.Errorf("measurement %d (%s) has neither a result nor an error", i, mm.Workload.Name)
-		}
-	}
-	b, err := json.Marshal(entry{Version: FormatVersion, Key: key, Measurements: recs})
+	b, err := encodeEntry(key, ms)
 	if err != nil {
-		return fmt.Errorf("marshal entry %s: %w", key, err)
+		return fmt.Errorf("encode entry %s: %w", key, err)
 	}
 	tmp, err := os.CreateTemp(s.dir, "put-*")
 	if err != nil {

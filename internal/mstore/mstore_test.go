@@ -3,7 +3,9 @@ package mstore
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -241,6 +243,43 @@ func TestPutRejectsEmptyMeasurement(t *testing.T) {
 	}
 	if _, ok := s.Get(ps, m, opts); ok || tr.Counter("mstore.misses") != 1 {
 		t.Fatal("a rejected put left an entry behind")
+	}
+}
+
+// TestPutRejectsUnreadableMeasurements: Put counts a put error and
+// writes no entry for a measurement Get would reject: a float that is
+// not finite, in the counters or a sample, or an error with an empty
+// message.
+func TestPutRejectsUnreadableMeasurements(t *testing.T) {
+	ps, m, opts := testInputs()
+	opts.SampleInterval = 2000
+	for _, tc := range []struct {
+		name  string
+		spoil func(ms []core.Measurement)
+	}{
+		{"nan-counter", func(ms []core.Measurement) { ms[1].Result.Counters.Cycles = math.NaN() }},
+		{"inf-sample", func(ms []core.Measurement) { ms[1].Result.Samples[0].CycleEnd = math.Inf(1) }},
+		{"empty-message", func(ms []core.Measurement) { ms[1] = core.Measurement{Workload: ps[1], Err: errors.New("")} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ms, err := core.MeasureSuite(context.Background(), nil, ps, m, opts, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ms[1].Result.Samples) == 0 {
+				t.Fatalf("measuring %s took no samples", ps[1].Name)
+			}
+			tc.spoil(ms)
+			tr := obs.New()
+			s := &Store{dir: t.TempDir(), Obs: tr, Log: io.Discard}
+			s.Put(ps, m, opts, ms)
+			if got := tr.Counter("mstore.put_errors"); got != 1 {
+				t.Fatalf("mstore.put_errors = %d, want 1", got)
+			}
+			if _, ok := s.Get(ps, m, opts); ok || tr.Counter("mstore.misses") != 1 {
+				t.Fatal("a rejected put left an entry behind")
+			}
+		})
 	}
 }
 

@@ -90,6 +90,14 @@ type Profile struct {
 	InstructionScale float64
 }
 
+// The most code a profile may describe. clr.NewJIT sizes its method
+// table from MethodCount, so these bound what one workload can make the
+// simulator allocate; perturb clamps generated profiles to them.
+const (
+	MaxMethodCount        = 65536
+	MaxCodeFootprintBytes = 64 << 20
+)
+
 // Validate reports structurally impossible profiles. Every error names
 // the offending field; NaN and infinities fail every float field.
 func (p *Profile) Validate() error {
@@ -142,6 +150,12 @@ func (p *Profile) Validate() error {
 	if p.CodeFootprintBytes <= 0 || p.MethodCount <= 0 {
 		return fmt.Errorf("workload %s: CodeFootprintBytes %d / MethodCount %d", p.Name, p.CodeFootprintBytes, p.MethodCount)
 	}
+	if p.CodeFootprintBytes > MaxCodeFootprintBytes {
+		return fmt.Errorf("workload %s: CodeFootprintBytes %d above %d", p.Name, p.CodeFootprintBytes, MaxCodeFootprintBytes)
+	}
+	if p.MethodCount > MaxMethodCount {
+		return fmt.Errorf("workload %s: MethodCount %d above %d", p.Name, p.MethodCount, MaxMethodCount)
+	}
 	if p.WorkingSetBytes <= 0 {
 		return fmt.Errorf("workload %s: WorkingSetBytes %d", p.Name, p.WorkingSetBytes)
 	}
@@ -185,8 +199,8 @@ func perturb(base Profile, name string, r *rng.Rand, spread float64) Profile {
 		p.StoreFrac *= scale
 	}
 	p.KernelFrac = clamp(j(p.KernelFrac), 0, 0.9)
-	p.CodeFootprintBytes = int(clamp(j(float64(p.CodeFootprintBytes)), 4096, 64<<20))
-	p.MethodCount = int(clamp(j(float64(p.MethodCount)), 4, 65536))
+	p.CodeFootprintBytes = int(clamp(j(float64(p.CodeFootprintBytes)), 4096, MaxCodeFootprintBytes))
+	p.MethodCount = int(clamp(j(float64(p.MethodCount)), 4, MaxMethodCount))
 	p.MethodZipf = clamp(j(p.MethodZipf), 0.3, 1.8)
 	p.BranchPredictability = clamp(j(p.BranchPredictability), 0.55, 0.999)
 	p.TakenFrac = clamp(j(p.TakenFrac), 0.2, 0.9)

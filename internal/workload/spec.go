@@ -34,6 +34,11 @@ const (
 	SpecVersion = 1
 )
 
+// MaxSuiteWorkloads bounds the workloads one spec may define, 22 times
+// the largest built-in suite: a generator's count otherwise sizes its
+// output with no limit but memory.
+const MaxSuiteWorkloads = 65536
+
 // Spec is the top-level suite-spec document.
 type Spec struct {
 	Format  string `json:"format"`
@@ -331,6 +336,18 @@ func ParseSpec(data []byte) (*SuiteDef, error) {
 				}
 			}
 		}
+	}
+
+	// Bound the suite before generating any of it.
+	n := len(spec.Workloads)
+	for bi, g := range spec.Generate {
+		if g.Count > MaxSuiteWorkloads {
+			return nil, fmt.Errorf("spec %s: generate[%d]: count %d above %d", spec.Wire, bi, g.Count, MaxSuiteWorkloads)
+		}
+		n += max(g.Count, 0) + len(g.Names)
+	}
+	if n > MaxSuiteWorkloads {
+		return nil, fmt.Errorf("spec %s: %d workloads, above %d", spec.Wire, n, MaxSuiteWorkloads)
 	}
 
 	defaults, err := applyParams(profileParams{}, spec.Defaults)

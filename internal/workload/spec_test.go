@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -103,6 +106,12 @@ func TestParseSpecErrors(t *testing.T) {
 		{"negative-contention-rate", minimalSpec(func(s string) string {
 			return strings.Replace(s, `{"ILP": 0.7}`, `{"Managed": true, "ContentionPKI": -1}`, 1)
 		}), "ContentionPKI -1"},
+		{"method-count-above-bound", minimalSpec(func(s string) string {
+			return strings.Replace(s, `{"ILP": 0.7}`, `{"MethodCount": 65537}`, 1)
+		}), "MethodCount 65537 above 65536"},
+		{"code-footprint-above-bound", minimalSpec(func(s string) string {
+			return strings.Replace(s, `{"ILP": 0.7}`, `{"CodeFootprintBytes": 67108865}`, 1)
+		}), "CodeFootprintBytes 67108865 above 67108864"},
 		{"no-workloads", minimalSpec(func(s string) string {
 			return strings.Replace(s, `[{"name": "w1"}, {"name": "w2", "profile": {"ILP": 0.7}}]`, `[]`, 1)
 		}), "no workloads"},
@@ -143,6 +152,8 @@ func TestParseSpecGenerateErrors(t *testing.T) {
 		{"empty-name", `{"seed": ["x"], "spread": 0.2, "names": ["ok", ""]}`, "empty workload name"},
 		{"bad-post-op", `{"seed": ["x"], "spread": 0.2, "names": ["n"], "post": [{"field": "ILP", "op": "frobnicate"}]}`, `unknown op "frobnicate"`},
 		{"bad-post-field", `{"seed": ["x"], "spread": 0.2, "names": ["n"], "post": [{"field": "Name", "op": "set", "value": 1}]}`, "unknown op field"},
+		{"count-above-bound", `{"category": "C", "seed": ["x"], "spread": 0.2, "count": 65537, "families": "fams"}`, "count 65537 above 65536"},
+		{"suite-above-bound", `{"category": "C", "seed": ["x"], "spread": 0.2, "count": 40000, "families": "fams"}, {"category": "D", "seed": ["x"], "spread": 0.2, "count": 40000, "families": "fams"}`, "80002 workloads, above 65536"},
 		{"clamp-without-range", `{"seed": ["x"], "spread": 0.2, "names": ["n"], "post": [{"field": "ILP", "op": "clamp"}]}`, "requires a clamp range"},
 		// JSON carries no NaN or infinity, but op arithmetic can make them.
 		{"infinite-field", `{"seed": ["x"], "spread": 0.2, "names": ["n"], "post": [{"field": "DataZipf", "op": "mul", "value": 1e308}, {"field": "DataZipf", "op": "mul", "value": 1e308}]}`, "DataZipf +Inf"},
@@ -226,5 +237,42 @@ func TestRegistryDuplicateWire(t *testing.T) {
 	// The shared built-in registry must be untouched by the copy's growth.
 	if _, ok := Builtin().Lookup("tiny"); ok {
 		t.Fatal("external registration leaked into the built-in registry")
+	}
+}
+
+// TestParseSpecHugeCountAllocatesLittle: a generator asking for two
+// billion workloads fails before generating any of them.
+func TestParseSpecHugeCountAllocatesLittle(t *testing.T) {
+	doc := addGenerate(`{"category": "C", "seed": ["x"], "spread": 0.2, "count": 2000000000, "families": "fams"}`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ParseSpec(doc)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "count 2000000000 above 65536") {
+		t.Fatalf("ParseSpec error %v, want the count bound", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("rejecting the spec allocated %d bytes, want under 1 MiB", alloc)
+	}
+}
+
+// TestExampleSpecsParse: every shipped example spec stays within the
+// parse-time bounds.
+func TestExampleSpecsParse(t *testing.T) {
+	files, err := filepath.Glob("../../examples/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no example specs found")
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseSpec(b); err != nil {
+			t.Errorf("%s: %v", f, err)
+		}
 	}
 }

@@ -14,6 +14,10 @@
 #   go test      all packages, race detector on, shuffled execution
 #                order (-shuffle=on) so order-dependent tests cannot
 #                hide behind file ordering
+#   race repeat  the fitting drivers run concurrently on one Lab,
+#                sharing each suite's fit, ten times under the race
+#                detector (-race -count=10), since one clean run proves
+#                little about state several goroutines share
 #   fuzz budget  every native fuzz target fuzzed for 5 s beyond its seed
 #                corpus (go test -fuzz), so a new crasher on the mem,
 #                rng, cluster or mstore-entry boundaries, or a JSON
@@ -82,6 +86,9 @@ grep -q '"analyzers"' "$workdir/vet.json" || {
 
 echo "== go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
+
+echo "== race repeat (concurrent drivers sharing fits, -race -count=10)"
+go test -race -count=10 -run '^TestConcurrentDriversShareFits$' ./internal/experiments
 
 echo "== bench smoke (compile + one iteration)"
 go test -run=NONE -bench=. -benchtime=1x ./... > /dev/null
