@@ -6,8 +6,8 @@
 //
 //	charnet [-full] [-cache DIR] [-workers N] [-format text|json|csv]
 //	        [-suite-spec FILE]... [-trace-out FILE] [-events-out FILE]
-//	        [-profile-json FILE] [-telemetry-out FILE] [-progress]
-//	        [-telemetry-addr ADDR] <command>
+//	        [-telemetry-out FILE] [-progress] [-telemetry-addr ADDR]
+//	        <command>
 //
 // Suites are data: -suite-spec FILE (repeatable) loads a declarative
 // workload-spec JSON file (see docs/WORKLOADS.md) and registers its suite
@@ -38,8 +38,6 @@
 //	                     https://ui.perfetto.dev or chrome://tracing)
 //	-events-out FILE     write the span/counter/gauge/histogram event log
 //	                     as JSONL
-//	-profile-json FILE   write top-level phase wall-times as JSON
-//	                     (consumed by scripts/bench.sh)
 //	-telemetry-out FILE  write the telemetry run-report artifact as JSON
 //	-progress            live driver/suite progress lines on stderr
 //	-telemetry-addr ADDR serve the live telemetry plane on ADDR: /metrics
@@ -98,7 +96,6 @@ func main() {
 	format := flag.String("format", "text", "experiment output format: text, json or csv")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file (Perfetto-loadable)")
 	eventsOut := flag.String("events-out", "", "write the observability event log as JSONL")
-	profileJSON := flag.String("profile-json", "", "write top-level phase wall-times as JSON")
 	progress := flag.Bool("progress", false, "live per-driver/per-suite progress on stderr")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /healthz, expvar and pprof on this address (\":0\" picks a port, announced on stderr)")
 	telemetryOut := flag.String("telemetry-out", "", "write the telemetry run-report artifact as JSON")
@@ -136,7 +133,7 @@ func main() {
 	// The trace exists only when some observability output was requested:
 	// an untraced run keeps the nil no-op path everywhere.
 	var tr *obs.Trace
-	if *traceOut != "" || *eventsOut != "" || *profileJSON != "" || *telemetryOut != "" || *progress || *telemetryAddr != "" {
+	if *traceOut != "" || *eventsOut != "" || *telemetryOut != "" || *progress || *telemetryAddr != "" {
 		var opts []obs.Option
 		if *progress {
 			opts = append(opts, obs.WithProgress(os.Stderr))
@@ -176,7 +173,7 @@ func main() {
 	cmd := flag.Arg(0)
 	derr := dispatch(ctx, lab, cmd, flag.Args()[1:], *format, os.Stdout)
 	stopTelemetry()
-	if err := writeObsOutputs(ctx, lab, tr, *traceOut, *eventsOut, *profileJSON, *telemetryOut); err != nil {
+	if err := writeObsOutputs(ctx, lab, tr, *traceOut, *eventsOut, *telemetryOut); err != nil {
 		fmt.Fprintf(os.Stderr, "charnet: %v\n", err)
 		if derr == nil {
 			os.Exit(1)
@@ -217,7 +214,7 @@ func serveTelemetry(addr string, tr *obs.Trace, info telemetry.Info) (stop func(
 
 // writeObsOutputs lands the requested trace artifacts and prints the text
 // self-profile on stderr. Observability output never touches stdout.
-func writeObsOutputs(ctx context.Context, lab *experiments.Lab, tr *obs.Trace, traceOut, eventsOut, profileJSON, telemetryOut string) error {
+func writeObsOutputs(ctx context.Context, lab *experiments.Lab, tr *obs.Trace, traceOut, eventsOut, telemetryOut string) error {
 	if tr == nil {
 		return nil
 	}
@@ -243,11 +240,6 @@ func writeObsOutputs(ctx context.Context, lab *experiments.Lab, tr *obs.Trace, t
 			return err
 		}
 	}
-	if profileJSON != "" {
-		if err := writeFile(profileJSON, tr.WritePhasesJSON); err != nil {
-			return err
-		}
-	}
 	if telemetryOut != "" {
 		res, err := experiments.Telemetry(ctx, lab)
 		if err != nil {
@@ -265,7 +257,7 @@ func writeObsOutputs(ctx context.Context, lab *experiments.Lab, tr *obs.Trace, t
 // usage is generated from the driver registry: a driver registered in
 // internal/experiments appears here without any cmd/charnet change.
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: charnet [-full] [-cache DIR] [-workers N] [-format text|json|csv] [-suite-spec FILE]... [-trace-out FILE] [-events-out FILE] [-profile-json FILE] [-telemetry-out FILE] [-progress] [-telemetry-addr ADDR] <command>")
+	fmt.Fprintln(os.Stderr, "usage: charnet [-full] [-cache DIR] [-workers N] [-format text|json|csv] [-suite-spec FILE]... [-trace-out FILE] [-events-out FILE] [-telemetry-out FILE] [-progress] [-telemetry-addr ADDR] <command>")
 	fmt.Fprintln(os.Stderr, "\n-suite-spec FILE (repeatable) registers an external suite from a")
 	fmt.Fprintln(os.Stderr, "workload-spec JSON file (docs/WORKLOADS.md); it then flows through the")
 	fmt.Fprintln(os.Stderr, "characterization experiments and the utility commands below.")

@@ -216,7 +216,6 @@ func TestTraceOutSchema(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.json")
 	eventsPath := filepath.Join(dir, "events.jsonl")
-	phasesPath := filepath.Join(dir, "phases.json")
 	var selfProfile strings.Builder
 	// writeObsOutputs prints the self-profile to stderr in production; the
 	// file artifacts are what the schema check needs.
@@ -224,7 +223,6 @@ func TestTraceOutSchema(t *testing.T) {
 		for path, write := range map[string]func(io.Writer) error{
 			tracePath:  tr.WriteChromeTrace,
 			eventsPath: tr.WriteJSONL,
-			phasesPath: tr.WritePhasesJSON,
 		} {
 			f, err := os.Create(path)
 			if err != nil {
@@ -280,19 +278,5 @@ func TestTraceOutSchema(t *testing.T) {
 	}
 	if !strings.Contains(selfProfile.String(), "driver table3") {
 		t.Errorf("self-profile missing the driver row:\n%s", selfProfile.String())
-	}
-
-	var phases struct {
-		Phases map[string]float64 `json:"phases"`
-	}
-	pb, err := os.ReadFile(phasesPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(pb, &phases); err != nil {
-		t.Fatal(err)
-	}
-	if phases.Phases["table3"] <= 0 {
-		t.Errorf("phases.json missing a positive table3 wall time: %v", phases.Phases)
 	}
 }

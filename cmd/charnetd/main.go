@@ -6,8 +6,7 @@
 //
 //	charnetd [-addr ADDR] [-full] [-cache DIR] [-workers N]
 //	         [-suite-spec FILE]... [-serve-workers N] [-queue N]
-//	         [-rate R] [-burst N] [-selftest] [-selftest-requests N]
-//	         [-selftest-concurrency N] [-selftest-json FILE]
+//	         [-rate R] [-burst N]
 //
 // -suite-spec FILE (repeatable) loads a declarative workload-spec JSON
 // file (docs/WORKLOADS.md) at daemon start; the suite then appears on
@@ -28,11 +27,6 @@
 // `-addr :0` works for scripts. SIGINT/SIGTERM drains gracefully:
 // the listener stops accepting, admitted work completes, then the
 // process exits 0.
-//
-// -selftest runs the closed-loop load generator against the daemon's own
-// /v1/measure endpoint, prints the latency/throughput summary and exits;
-// -selftest-json additionally writes the summary in scripts/bench.sh's
-// phases format so serving latency lands in the bench record.
 package main
 
 import (
@@ -72,10 +66,6 @@ func main() {
 	queueDepth := flag.Int("queue", 64, "admission queue bound; a full queue sheds with 503")
 	rate := flag.Float64("rate", 0, "admission rate limit in requests/sec (0 = unlimited)")
 	burst := flag.Int("burst", 0, "rate-limit burst (default: rate rounded up)")
-	selftest := flag.Bool("selftest", false, "serve, run the closed-loop load generator against it, print the summary and exit")
-	selftestRequests := flag.Int("selftest-requests", 32, "selftest total request count")
-	selftestConcurrency := flag.Int("selftest-concurrency", 4, "selftest closed-loop client count")
-	selftestJSON := flag.String("selftest-json", "", "write the selftest summary as a benchdiff phases file")
 	var suiteSpecs multiFlag
 	flag.Var(&suiteSpecs, "suite-spec", "register an external suite from a workload-spec JSON file (repeatable)")
 	flag.Parse()
@@ -131,94 +121,44 @@ func main() {
 	expvar.Publish("charnetd", expvar.Func(func() any { return tr.Snapshot() }))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := runDaemon(ctx, lab, tr, scfg, *addr, selftestConfig(*selftest, *selftestRequests, *selftestConcurrency, *selftestJSON), os.Stdout); err != nil {
+	if err := runDaemon(ctx, lab, tr, scfg, *addr, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "charnetd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// selftestOpts carries the -selftest* flags; a nil value means serve
-// until signalled.
-type selftestOpts struct {
-	requests    int
-	concurrency int
-	jsonPath    string
-}
-
-func selftestConfig(enabled bool, requests, concurrency int, jsonPath string) *selftestOpts {
-	if !enabled {
-		return nil
+// runDaemon binds addr, announces it on log, serves until ctx is
+// cancelled, then drains: listener shutdown first so handlers return,
+// serve core second so admitted work lands. Every status line goes to
+// log.
+func runDaemon(ctx context.Context, lab *experiments.Lab, tr *obs.Trace, scfg serve.Config, addr string, log io.Writer) error {
+	logf := func(format string, args ...any) {
+		//charnet:ignore errdiscard a status line that cannot be written has nowhere else to go
+		fmt.Fprintf(log, "charnetd: "+format+"\n", args...)
 	}
-	return &selftestOpts{requests: requests, concurrency: concurrency, jsonPath: jsonPath}
-}
-
-// runDaemon binds addr, serves until ctx is cancelled (or the selftest
-// completes), then drains: listener shutdown first so handlers return,
-// serve core second so admitted work lands.
-func runDaemon(ctx context.Context, lab *experiments.Lab, tr *obs.Trace, scfg serve.Config, addr string, st *selftestOpts, out io.Writer) error {
 	s := serve.New(lab, tr, scfg)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		s.Close()
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "charnetd: serving on http://%s\n", ln.Addr())
+	logf("serving on http://%s", ln.Addr())
 	srv := &http.Server{Handler: s}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
-	var selftestErr error
-	if st != nil {
-		selftestErr = runSelftest(ctx, tr, ln.Addr().String(), st, out)
-	} else {
-		<-ctx.Done()
-		fmt.Fprintln(os.Stderr, "charnetd: signal received, draining")
-	}
+	<-ctx.Done()
+	logf("signal received, draining")
 
 	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(sctx); err != nil {
-		fmt.Fprintf(os.Stderr, "charnetd: shutdown: %v\n", err)
+		logf("shutdown: %v", err)
 	}
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "charnetd: %v\n", err)
+		logf("%v", err)
 	}
 	s.Close()
-	fmt.Fprintln(os.Stderr, "charnetd: drained")
-	return selftestErr
-}
-
-// runSelftest drives the closed-loop load generator against the daemon's
-// own measure endpoint and publishes the summary: a human-readable line
-// on out, and optionally the benchdiff phases document.
-func runSelftest(ctx context.Context, tr *obs.Trace, addr string, st *selftestOpts, out io.Writer) error {
-	res, err := serve.RunLoadGen(ctx, tr, serve.LoadGenConfig{
-		URL:         "http://" + addr + "/v1/measure",
-		Body:        `{"suite":"aspnet"}`,
-		Requests:    st.requests,
-		Concurrency: st.concurrency,
-	})
-	if err != nil {
-		return fmt.Errorf("selftest: %w", err)
-	}
-	if res.Errors > 0 {
-		return fmt.Errorf("selftest: %d of %d requests failed", res.Errors, res.Requests)
-	}
-	if _, err := fmt.Fprintf(out, "charnetd: selftest: %d requests, %d errors, p50=%v p99=%v, %.1f req/s\n",
-		res.Requests, res.Errors, res.P50, res.P99, res.Throughput); err != nil {
-		return err
-	}
-	if st.jsonPath != "" {
-		f, err := os.Create(st.jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := res.WritePhases(f); err != nil {
-			//charnet:ignore errdiscard the phases write error already reports this path's failure
-			f.Close()
-			return fmt.Errorf("%s: %w", st.jsonPath, err)
-		}
-		return f.Close()
-	}
+	logf("drained")
 	return nil
 }

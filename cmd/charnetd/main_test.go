@@ -2,11 +2,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"io"
-	"os"
-	"path/filepath"
+	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -27,19 +26,69 @@ func daemonConfig() serve.Config {
 		Info: telemetry.Info{Role: "daemon", Command: "serve", Fidelity: "quick", Format: "json"}}
 }
 
+// syncLog is the daemon's status writer in tests: runDaemon writes from
+// its goroutine while the test polls.
+type syncLog struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *syncLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *syncLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
 // TestRunDaemonServesAndDrains boots the daemon on an ephemeral port,
 // hits the API and the folded telemetry plane, then cancels the serve
 // context and checks the graceful exit.
 func TestRunDaemonServesAndDrains(t *testing.T) {
 	tr := obs.New()
+	var log syncLog
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		done <- runDaemon(ctx, daemonLab(tr), tr, daemonConfig(), "127.0.0.1:0", nil, io.Discard)
+		done <- runDaemon(ctx, daemonLab(tr), tr, daemonConfig(), "127.0.0.1:0", &log)
 	}()
 
-	// The serve.workers gauge is published when the serve core comes up.
-	waitFor(t, func() bool { return gaugeValue(tr, "serve.workers") == 2 }, "daemon to start")
+	const announce = "charnetd: serving on "
+	var base string
+	waitFor(t, func() bool {
+		line, ok := strings.CutPrefix(log.String(), announce)
+		base, _, _ = strings.Cut(line, "\n")
+		return ok && strings.HasSuffix(line, "\n")
+	}, "the daemon to announce its address")
+
+	resp, err := http.Post(base+"/v1/measure", "application/json",
+		strings.NewReader(`{"suite":"dotnet","workloads":["System.Runtime"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/measure: %d %v\n%s", resp.StatusCode, err, body)
+	}
+
+	resp, err = http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(metrics), "charnet_serve_requests_measure_total") {
+		t.Fatalf("/metrics lacks charnet_serve_requests_measure_total:\n%s", metrics)
+	}
 
 	cancel()
 	select {
@@ -50,53 +99,8 @@ func TestRunDaemonServesAndDrains(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not drain after cancellation")
 	}
-}
-
-// TestRunDaemonSelftest runs the full self-test loop: serve, load
-// generation against the daemon's own endpoint, summary line and phases
-// file, then exit without an external signal.
-func TestRunDaemonSelftest(t *testing.T) {
-	tr := obs.New()
-	phases := filepath.Join(t.TempDir(), "loadgen.json")
-	var out strings.Builder
-	err := runDaemon(context.Background(), daemonLab(tr), tr, daemonConfig(), "127.0.0.1:0",
-		&selftestOpts{requests: 8, concurrency: 2, jsonPath: phases}, &out)
-	if err != nil {
-		t.Fatalf("selftest run: %v", err)
-	}
-	if !strings.Contains(out.String(), "selftest: 8 requests, 0 errors") {
-		t.Fatalf("selftest summary = %q", out.String())
-	}
-	raw, err := os.ReadFile(phases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Phases map[string]float64 `json:"phases"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("phases file not JSON: %v\n%s", err, raw)
-	}
-	for _, k := range []string{"serve.loadgen.p50", "serve.loadgen.p99", "serve.loadgen.ns_per_req"} {
-		if doc.Phases[k] <= 0 {
-			t.Fatalf("phase %s = %v, want > 0 in %s", k, doc.Phases[k], raw)
-		}
-	}
-	// The loadgen's latencies landed on the daemon trace alongside the
-	// serving metrics, so the selftest is visible on /metrics too.
-	if tr.Counter("serve.requests.measure") < 8 {
-		t.Fatalf("serve.requests.measure = %d, want >= 8", tr.Counter("serve.requests.measure"))
-	}
-}
-
-// TestSelftestConfig pins the nil-vs-options flag mapping.
-func TestSelftestConfig(t *testing.T) {
-	if selftestConfig(false, 1, 1, "x") != nil {
-		t.Fatal("disabled selftest should map to nil")
-	}
-	st := selftestConfig(true, 5, 2, "p.json")
-	if st == nil || st.requests != 5 || st.concurrency != 2 || st.jsonPath != "p.json" {
-		t.Fatalf("selftest opts = %+v", st)
+	if !strings.Contains(log.String(), "charnetd: drained\n") {
+		t.Fatalf("no drained line in the status log:\n%s", log.String())
 	}
 }
 
@@ -104,7 +108,7 @@ func TestSelftestConfig(t *testing.T) {
 // leaking the serve core.
 func TestRunDaemonBindFailure(t *testing.T) {
 	tr := obs.New()
-	err := runDaemon(context.Background(), daemonLab(tr), tr, daemonConfig(), "256.256.256.256:1", nil, io.Discard)
+	err := runDaemon(context.Background(), daemonLab(tr), tr, daemonConfig(), "256.256.256.256:1", io.Discard)
 	if err == nil {
 		t.Fatal("bad address should fail")
 	}
@@ -119,13 +123,4 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-}
-
-func gaugeValue(tr *obs.Trace, name string) float64 {
-	for _, g := range tr.Metrics().Gauges {
-		if g.Name == name {
-			return g.Value
-		}
-	}
-	return 0
 }

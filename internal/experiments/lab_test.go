@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -227,9 +229,25 @@ func TestWarmMeasureSuiteCopiesNoCatalog(t *testing.T) {
 	}
 
 	const key = "suite/dotnet-individual/Intel Core i9-9980XE/4-5c37347d8df22864"
-	phases := lab.Obs.Phases()
-	if len(phases) != 1 || phases[0].Name != key {
-		t.Errorf("measure spans %v, want one named %q", phases, key)
+	var events strings.Builder
+	if err := lab.Obs.WriteJSONL(&events); err != nil {
+		t.Fatal(err)
+	}
+	var roots []string
+	for _, line := range strings.Split(strings.TrimSpace(events.String()), "\n") {
+		var ev struct {
+			Type, Name, Detail string
+			Depth              int
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Type == "span" && ev.Depth == 0 {
+			roots = append(roots, ev.Name+" "+ev.Detail)
+		}
+	}
+	if len(roots) != 1 || roots[0] != "measure "+key {
+		t.Errorf("root spans %q, want one measure span named %q", roots, key)
 	}
 }
 

@@ -142,22 +142,6 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// WritePhasesJSON writes the top-level phase wall-times as a small JSON
-// object, {"phases": {"<label>": <nanoseconds>}}. scripts/bench.sh records
-// these alongside the ns/op benchmarks so a benchdiff regression localizes
-// to a pipeline phase.
-func (t *Trace) WritePhasesJSON(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	phases := map[string]int64{}
-	for _, p := range t.Phases() {
-		phases[p.Name] += p.Dur.Nanoseconds()
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"phases": phases})
-}
-
 // profNode is one row of the aggregated self-profile tree.
 type profNode struct {
 	label    string

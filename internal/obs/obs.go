@@ -413,37 +413,3 @@ func sortedKeys[V any](m map[string]V) []string {
 	sort.Strings(keys)
 	return keys
 }
-
-// A Phase is one top-level span's aggregate wall time, keyed by its label
-// (detail when present, else name). scripts/bench.sh records these next to
-// the ns/op benchmarks so regressions localize to a phase.
-type Phase struct {
-	Name string
-	Dur  time.Duration
-}
-
-// Phases aggregates root spans by label in first-seen order.
-func (t *Trace) Phases() []Phase {
-	if t == nil {
-		return nil
-	}
-	recs, _, _, _ := t.snapshot()
-	byName := map[string]int{}
-	var out []Phase
-	for _, r := range recs {
-		if r.Depth != 0 {
-			continue
-		}
-		label := r.Name
-		if r.Detail != "" {
-			label = r.Detail
-		}
-		if i, ok := byName[label]; ok {
-			out[i].Dur += r.Dur
-			continue
-		}
-		byName[label] = len(out)
-		out = append(out, Phase{Name: label, Dur: r.Dur})
-	}
-	return out
-}

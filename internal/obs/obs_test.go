@@ -101,23 +101,6 @@ func TestEndIdempotent(t *testing.T) {
 	}
 }
 
-func TestPhases(t *testing.T) {
-	tr := New(WithClock(newFakeClock(time.Millisecond)))
-	a := tr.Span("driver", "table3")
-	a.End()
-	b := tr.Span("driver", "table4")
-	c := b.Child("measure", "x") // depth 1: not a phase
-	c.End()
-	b.End()
-	ph := tr.Phases()
-	if len(ph) != 2 || ph[0].Name != "table3" || ph[1].Name != "table4" {
-		t.Fatalf("phases = %+v", ph)
-	}
-	if ph[0].Dur <= 0 || ph[1].Dur <= 0 {
-		t.Fatalf("non-positive phase durations: %+v", ph)
-	}
-}
-
 // TestNilSafety: the disabled state is a nil *Trace; every call must
 // no-op without panicking.
 func TestNilSafety(t *testing.T) {
@@ -139,8 +122,8 @@ func TestNilSafety(t *testing.T) {
 	if sp.Duration() != 0 {
 		t.Fatal("nil span duration should be 0")
 	}
-	if tr.Phases() != nil || tr.Snapshot() != nil {
-		t.Fatal("nil trace phases/snapshot should be nil")
+	if tr.Snapshot() != nil {
+		t.Fatal("nil trace snapshot should be nil")
 	}
 	var b strings.Builder
 	if err := tr.WriteChromeTrace(&b); err != nil || b.Len() != 0 {
