@@ -202,11 +202,16 @@ func EigenSym(a *Matrix) (values []float64, vectors *Matrix, err error) {
 		v.Set(i, i, 1)
 	}
 
+	// Rows are slices of work.Data and v.Data. Every PCA result depends
+	// on the bits this loop computes, so TestEigenSymBitsPinned holds its
+	// arithmetic and the order of it fixed.
+	w, vd := work.Data, v.Data
 	offDiag := func() float64 {
 		sum := 0.0
 		for i := 0; i < n; i++ {
+			row := w[i*n : i*n+n]
 			for j := i + 1; j < n; j++ {
-				x := work.At(i, j)
+				x := row[j]
 				sum += x * x
 			}
 		}
@@ -221,12 +226,13 @@ func EigenSym(a *Matrix) (values []float64, vectors *Matrix, err error) {
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
-				apq := work.At(p, q)
+				rp, rq := w[p*n:p*n+n], w[q*n:q*n+n]
+				apq := rp[q]
 				if math.Abs(apq) < 1e-300 {
 					continue
 				}
-				app := work.At(p, p)
-				aqq := work.At(q, q)
+				app := rp[p]
+				aqq := rq[q]
 				// Compute the Jacobi rotation that zeroes (p, q).
 				theta := (aqq - app) / (2 * apq)
 				var t float64
@@ -240,23 +246,25 @@ func EigenSym(a *Matrix) (values []float64, vectors *Matrix, err error) {
 
 				// Apply rotation to work = J^T * work * J.
 				for k := 0; k < n; k++ {
-					akp := work.At(k, p)
-					akq := work.At(k, q)
-					work.Set(k, p, c*akp-s*akq)
-					work.Set(k, q, s*akp+c*akq)
+					row := w[k*n : k*n+n]
+					akp := row[p]
+					akq := row[q]
+					row[p] = c*akp - s*akq
+					row[q] = s*akp + c*akq
 				}
-				for k := 0; k < n; k++ {
-					apk := work.At(p, k)
-					aqk := work.At(q, k)
-					work.Set(p, k, c*apk-s*aqk)
-					work.Set(q, k, s*apk+c*aqk)
+				rq = rq[:len(rp)] // drops the bounds checks on rq[k]
+				for k, apk := range rp {
+					aqk := rq[k]
+					rp[k] = c*apk - s*aqk
+					rq[k] = s*apk + c*aqk
 				}
 				// Accumulate eigenvectors.
 				for k := 0; k < n; k++ {
-					vkp := v.At(k, p)
-					vkq := v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
+					row := vd[k*n : k*n+n]
+					vkp := row[p]
+					vkq := row[q]
+					row[p] = c*vkp - s*vkq
+					row[q] = s*vkp + c*vkq
 				}
 			}
 		}

@@ -1,6 +1,9 @@
 package linalg
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 	"testing/quick"
@@ -322,6 +325,61 @@ func TestEigenSymAgreesWithPowerIteration(t *testing.T) {
 		}
 		if math.Abs(math.Abs(dot)-1) > 1e-5 {
 			t.Fatalf("seed %d: eigenvector disagreement |dot|=%v", seed, math.Abs(dot))
+		}
+	}
+}
+
+// eigenSymDigest is the SHA-256 of the Float64bits of every eigenvalue
+// and eigenvector element EigenSym returns for the matrices of
+// TestEigenSymBitsPinned.
+const eigenSymDigest = "22a6ec16eca15f8ab12b9546fa99b3a8b7c41088a057f9d4fbc14c8b9aa3be2c"
+
+// TestEigenSymBitsPinned: the Jacobi solver's arithmetic is part of every
+// PCA output, so a change to it must reproduce the old results bit for
+// bit. The matrices are seeded, from 2x2 to 24x24 (the metric count PCA
+// fits), plus a 24x24 one with a zero row and column, which exercises
+// the skipped rotations.
+func TestEigenSymBitsPinned(t *testing.T) {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(x float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+		h.Write(buf[:])
+	}
+	solve := func(a *Matrix) {
+		vals, vecs, err := EigenSym(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range vals {
+			put(x)
+		}
+		for _, x := range vecs.Data {
+			put(x)
+		}
+	}
+	for seed := uint64(1); seed <= 46; seed++ {
+		solve(randomSymmetric(seed, 2+int(seed%23)))
+	}
+	a := randomSymmetric(99, 24)
+	for k := 0; k < 24; k++ {
+		a.Set(7, k, 0)
+		a.Set(k, 7, 0)
+	}
+	solve(a)
+	if got := hex.EncodeToString(h.Sum(nil)); got != eigenSymDigest {
+		t.Fatalf("EigenSym digest %s, want %s", got, eigenSymDigest)
+	}
+}
+
+// BenchmarkEigenSym24 times one solve at the size PCA fits: the
+// 24-metric correlation matrix.
+func BenchmarkEigenSym24(b *testing.B) {
+	a := randomSymmetric(7, 24)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := EigenSym(a); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

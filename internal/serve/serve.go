@@ -534,27 +534,53 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 // measureBodyLimit is the most of a POST /v1/measure body the server
 // reads: twice the size of a request that names every workload of the
 // Lab's largest suite on the longest machine name, plus 4 KiB, which
-// leaves room for whitespace. A longer body is refused with 413.
+// leaves room for whitespace. A longer body is refused with 413. The
+// request's size is counted name by name, as json.Marshal would write
+// {"suite":S,"machine":M,"workloads":[W1,...,Wn]}.
 func measureBodyLimit(lab *experiments.Lab) int64 {
-	var longest measureRequest
+	longest := ""
 	for _, m := range machine.All() {
-		if len(m.Name) > len(longest.Machine) {
-			longest.Machine = m.Name
+		if len(m.Name) > len(longest) {
+			longest = m.Name
 		}
 	}
 	size := 0
 	for _, def := range lab.Suites() {
-		req := longest
-		req.Suite = def.Wire
-		for _, p := range def.Profiles() {
-			req.Workloads = append(req.Workloads, p.Name)
+		// Every suite has a workload, so the names need Len()-1 commas.
+		n := len(`{"suite":,"machine":,"workloads":[]}`) + jsonLen(def.Wire) + jsonLen(longest) + def.Len() - 1
+		for i := 0; i < def.Len(); i++ {
+			n += jsonLen(def.Name(i))
 		}
-		//charnet:ignore errdiscard a struct of strings always marshals
-		b, _ := json.Marshal(req)
-		size = max(size, len(b))
+		size = max(size, n)
 	}
 	return int64(2*size + 4<<10)
 }
+
+// jsonLen is the length of json.Marshal(s): s and its two quotes when
+// no byte needs escaping, otherwise the marshalled length.
+func jsonLen(s string) int {
+	for i := 0; i < len(s); i++ {
+		if !jsonPlain[s[i]] {
+			//charnet:ignore errdiscard a string always marshals
+			b, _ := json.Marshal(s)
+			return len(b)
+		}
+	}
+	return len(s) + 2
+}
+
+// jsonPlain marks the bytes json.Marshal copies into a string as they
+// are: printable ASCII other than the quote, the backslash and the
+// HTML-significant <, > and &.
+var jsonPlain = func() (plain [256]bool) {
+	for c := 0x20; c < 0x80; c++ {
+		plain[c] = true
+	}
+	for _, c := range `"\<>&` {
+		plain[c] = false
+	}
+	return plain
+}()
 
 // unknownWorkloads returns the requested names the suite's catalog does
 // not contain, preserving request order. Validating before admission

@@ -867,3 +867,97 @@ func TestExternalSuiteServing(t *testing.T) {
 		t.Fatalf("unknown external workload: status %d, want 400 naming it: %s", resp.StatusCode, body)
 	}
 }
+
+// marshalledBodyLimit is measureBodyLimit computed the long way: marshal
+// the request naming every workload of each suite on the longest machine
+// name, and size the limit from the longest.
+func marshalledBodyLimit(t *testing.T, lab *experiments.Lab) (limit int64, largest string) {
+	t.Helper()
+	var longest string
+	for _, m := range machine.All() {
+		if len(m.Name) > len(longest) {
+			longest = m.Name
+		}
+	}
+	size := 0
+	for _, def := range lab.Suites() {
+		req := measureRequest{Suite: def.Wire, Machine: longest}
+		for _, p := range def.Profiles() {
+			req.Workloads = append(req.Workloads, p.Name)
+		}
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) > size {
+			size, largest = len(b), def.Wire
+		}
+	}
+	return int64(2*size + 4<<10), largest
+}
+
+// escapeSpec is an external suite whose generated workload names need
+// JSON escaping, one kind per family: HTML-significant bytes, a quote, a
+// backslash, a control character, a non-ASCII letter and a line
+// separator. Its 3,200 workloads make it the largest request.
+const escapeSpec = `{
+  "format": "charnet-suite-spec",
+  "version": 1,
+  "wire": "escapes",
+  "suite": "Escapes",
+  "defaults": {
+    "BranchFrac": 0.15, "LoadFrac": 0.3, "StoreFrac": 0.12, "KernelFrac": 0.05,
+    "CodeFootprintBytes": 262144, "MethodCount": 400, "MethodZipf": 1.1,
+    "CallEveryInstr": 60, "BranchPredictability": 0.94, "TakenFrac": 0.55,
+    "MicrocodeFrac": 0.02, "DivFrac": 0.01, "WorkingSetBytes": 8388608,
+    "DataZipf": 0.9, "SequentialFrac": 0.6, "LocalFrac": 0.8, "ILP": 0.5,
+    "Managed": false, "DefaultCores": 1, "InstructionScale": 1.0
+  },
+  "families": {"f": [
+    {"name": "Lt<Gt>"}, {"name": "Amp&"}, {"name": "Quote\""}, {"name": "Back\\slash"},
+    {"name": "Tab\t"}, {"name": "Crème"}, {"name": "Line\u2028Sep"}
+  ]},
+  "generate": [{"category": "Escapes.Of.Every.Kind", "seed": ["escapes"], "spread": 0.1, "count": 3200, "families": "f"}]
+}`
+
+// TestMeasureBodyLimit pins the /v1/measure limit: 178,226 bytes for the
+// built-in suites, and for an external suite whose names need escaping,
+// exactly the limit its marshalled full request implies.
+func TestMeasureBodyLimit(t *testing.T) {
+	lab := quickLab(obs.New())
+	if got := measureBodyLimit(lab); got != 178226 {
+		t.Errorf("built-in body limit %d, want 178226", got)
+	}
+	if want, _ := marshalledBodyLimit(t, lab); measureBodyLimit(lab) != want {
+		t.Errorf("built-in body limit %d, marshalled requests imply %d", measureBodyLimit(lab), want)
+	}
+
+	reg := workload.NewRegistry()
+	def, err := workload.ParseSpec([]byte(escapeSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Register(def); err != nil {
+		t.Fatal(err)
+	}
+	lab.Registry = reg
+	want, largest := marshalledBodyLimit(t, lab)
+	if largest != "escapes" {
+		t.Fatalf("largest request is suite %s, want the escaping suite", largest)
+	}
+	if got := measureBodyLimit(lab); got != want {
+		t.Errorf("body limit %d with escaped names, marshalled requests imply %d", got, want)
+	}
+}
+
+// BenchmarkNewServer times daemon construction over an already built
+// registry, as charnetd pays it once per start.
+func BenchmarkNewServer(b *testing.B) {
+	workload.Builtin()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr := obs.New()
+		s := New(quickLab(tr), tr, Config{})
+		s.Close()
+	}
+}

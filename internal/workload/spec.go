@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"regexp"
 	"sort"
+	"strconv"
 
 	"repro/internal/rng"
 )
@@ -230,54 +230,86 @@ func applyParams(base profileParams, raw json.RawMessage) (profileParams, error)
 	return pp, nil
 }
 
-// opFields is the op vocabulary: numeric Profile fields by name.
-var opFields = func() map[string]bool {
-	out := make(map[string]bool)
-	t := reflect.TypeOf(profileParams{})
-	for i := 0; i < t.NumField(); i++ {
-		switch f := t.Field(i); f.Type.Kind() {
-		case reflect.Float64, reflect.Int, reflect.Int64:
-			out[f.Name] = true
-		}
-	}
-	return out
-}()
-
-// validateOp rejects malformed ops at parse time so generation never
-// hits an undefined adjustment.
-func validateOp(o Op) error {
-	if !opFields[o.Field] {
-		return fmt.Errorf("unknown op field %q", o.Field)
-	}
-	switch o.Op {
-	case "mul", "add", "set":
-	case "clamp":
-		if o.Clamp == nil {
-			return fmt.Errorf("field %s: op clamp requires a clamp range", o.Field)
-		}
-	default:
-		return fmt.Errorf("field %s: unknown op %q (want mul, add, set or clamp)", o.Field, o.Op)
-	}
-	if o.Clamp != nil && o.Clamp[0] > o.Clamp[1] {
-		return fmt.Errorf("field %s: clamp range [%v,%v] inverted", o.Field, o.Clamp[0], o.Clamp[1])
-	}
-	return nil
+// numField reads and writes one numeric Profile field as a float64.
+// Integer fields truncate toward zero on store, exactly like the legacy
+// tables' int(clamp(float64(v)*f, lo, hi)).
+type numField struct {
+	get func(*Profile) float64
+	set func(*Profile, float64)
 }
 
-// applyOp adjusts one field of p in place. Arithmetic is float64
-// throughout; integer fields truncate on store, exactly like the
-// legacy tables' int(clamp(float64(v)*f, lo, hi)).
-func applyOp(p *Profile, o Op) {
-	f := reflect.ValueOf(p).Elem().FieldByName(o.Field)
-	var cur float64
-	switch f.Kind() {
-	case reflect.Float64:
-		cur = f.Float()
-	case reflect.Int, reflect.Int64:
-		cur = float64(f.Int())
+// fieldOf builds the accessors of the field addr selects.
+func fieldOf[T float64 | int | int64](addr func(*Profile) *T) numField {
+	return numField{
+		get: func(p *Profile) float64 { return float64(*addr(p)) },
+		set: func(p *Profile, v float64) { *addr(p) = T(v) },
 	}
+}
+
+// opFields is the op vocabulary: every numeric field of profileParams
+// by name (TestOpFieldsMatchParams keeps the two in step).
+var opFields = map[string]numField{
+	"BranchFrac":           fieldOf(func(p *Profile) *float64 { return &p.BranchFrac }),
+	"LoadFrac":             fieldOf(func(p *Profile) *float64 { return &p.LoadFrac }),
+	"StoreFrac":            fieldOf(func(p *Profile) *float64 { return &p.StoreFrac }),
+	"KernelFrac":           fieldOf(func(p *Profile) *float64 { return &p.KernelFrac }),
+	"CodeFootprintBytes":   fieldOf(func(p *Profile) *int { return &p.CodeFootprintBytes }),
+	"MethodCount":          fieldOf(func(p *Profile) *int { return &p.MethodCount }),
+	"MethodZipf":           fieldOf(func(p *Profile) *float64 { return &p.MethodZipf }),
+	"CallEveryInstr":       fieldOf(func(p *Profile) *int { return &p.CallEveryInstr }),
+	"BranchPredictability": fieldOf(func(p *Profile) *float64 { return &p.BranchPredictability }),
+	"TakenFrac":            fieldOf(func(p *Profile) *float64 { return &p.TakenFrac }),
+	"MicrocodeFrac":        fieldOf(func(p *Profile) *float64 { return &p.MicrocodeFrac }),
+	"DivFrac":              fieldOf(func(p *Profile) *float64 { return &p.DivFrac }),
+	"WorkingSetBytes":      fieldOf(func(p *Profile) *int64 { return &p.WorkingSetBytes }),
+	"DataZipf":             fieldOf(func(p *Profile) *float64 { return &p.DataZipf }),
+	"SequentialFrac":       fieldOf(func(p *Profile) *float64 { return &p.SequentialFrac }),
+	"LocalFrac":            fieldOf(func(p *Profile) *float64 { return &p.LocalFrac }),
+	"ILP":                  fieldOf(func(p *Profile) *float64 { return &p.ILP }),
+	"AllocBytesPerKI":      fieldOf(func(p *Profile) *float64 { return &p.AllocBytesPerKI }),
+	"ExceptionPKI":         fieldOf(func(p *Profile) *float64 { return &p.ExceptionPKI }),
+	"ContentionPKI":        fieldOf(func(p *Profile) *float64 { return &p.ContentionPKI }),
+	"DefaultCores":         fieldOf(func(p *Profile) *int { return &p.DefaultCores }),
+	"InstructionScale":     fieldOf(func(p *Profile) *float64 { return &p.InstructionScale }),
+}
+
+// boundOp is a validated Op with its field resolved.
+type boundOp struct {
+	Op
+	field numField
+}
+
+// bindOps rejects malformed ops at parse time, so generation never hits
+// an undefined adjustment, and resolves each op's field once.
+func bindOps(ops []Op) ([]boundOp, error) {
+	out := make([]boundOp, len(ops))
+	for i, o := range ops {
+		f, ok := opFields[o.Field]
+		if !ok {
+			return nil, fmt.Errorf("unknown op field %q", o.Field)
+		}
+		switch o.Op {
+		case "mul", "add", "set":
+		case "clamp":
+			if o.Clamp == nil {
+				return nil, fmt.Errorf("field %s: op clamp requires a clamp range", o.Field)
+			}
+		default:
+			return nil, fmt.Errorf("field %s: unknown op %q (want mul, add, set or clamp)", o.Field, o.Op)
+		}
+		if o.Clamp != nil && o.Clamp[0] > o.Clamp[1] {
+			return nil, fmt.Errorf("field %s: clamp range [%v,%v] inverted", o.Field, o.Clamp[0], o.Clamp[1])
+		}
+		out[i] = boundOp{Op: o, field: f}
+	}
+	return out, nil
+}
+
+// apply adjusts one field of p in place, in float64 arithmetic.
+func (o *boundOp) apply(p *Profile) {
+	cur := o.field.get(p)
 	nv := cur
-	switch o.Op {
+	switch o.Op.Op {
 	case "mul":
 		nv = cur * o.Value
 	case "add":
@@ -290,12 +322,7 @@ func applyOp(p *Profile, o Op) {
 	if o.Clamp != nil {
 		nv = clamp(nv, o.Clamp[0], o.Clamp[1])
 	}
-	switch f.Kind() {
-	case reflect.Float64:
-		f.SetFloat(nv)
-	case reflect.Int, reflect.Int64:
-		f.SetInt(int64(nv))
-	}
+	o.field.set(p, nv)
 }
 
 // wirePattern constrains registry keys: lowercase-alphanumeric with
@@ -303,9 +330,10 @@ func applyOp(p *Profile, o Op) {
 var wirePattern = regexp.MustCompile(`^[a-z0-9][a-z0-9._-]*$`)
 
 // ParseSpec compiles a suite-spec document into a SuiteDef: it
-// strict-decodes the JSON, validates the op vocabulary, generates every
-// workload eagerly (so a registered suite can never fail later), checks
-// name uniqueness and runs Profile.Validate on each result.
+// strict-decodes the JSON, validates every op and generate block,
+// generates every workload eagerly (so a registered suite can never fail
+// later), checks name uniqueness and runs Profile.Validate on each
+// result.
 func ParseSpec(data []byte) (*SuiteDef, error) {
 	var spec Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -325,17 +353,20 @@ func ParseSpec(data []byte) (*SuiteDef, error) {
 	if spec.Suite == "" {
 		return nil, fmt.Errorf("spec %s: missing suite display name", spec.Wire)
 	}
+	families := make(map[string][]boundFamily, len(spec.Families))
 	for _, key := range sortedFamilyKeys(spec.Families) {
-		for _, fam := range spec.Families[key] {
+		fams := make([]boundFamily, len(spec.Families[key]))
+		for i, fam := range spec.Families[key] {
 			if fam.Name == "" {
 				return nil, fmt.Errorf("spec %s: families[%s]: unnamed family", spec.Wire, key)
 			}
-			for _, o := range fam.Ops {
-				if err := validateOp(o); err != nil {
-					return nil, fmt.Errorf("spec %s: families[%s] %s: %w", spec.Wire, key, fam.Name, err)
-				}
+			ops, err := bindOps(fam.Ops)
+			if err != nil {
+				return nil, fmt.Errorf("spec %s: families[%s] %s: %w", spec.Wire, key, fam.Name, err)
 			}
+			fams[i] = boundFamily{name: fam.Name, ops: ops}
 		}
+		families[key] = fams
 	}
 
 	// Bound the suite before generating any of it.
@@ -355,8 +386,14 @@ func ParseSpec(data []byte) (*SuiteDef, error) {
 		return nil, fmt.Errorf("spec %s: defaults: %w", spec.Wire, err)
 	}
 	suite := Suite(spec.Suite)
-	var profiles []Profile
+	gens := make([]generator, len(spec.Generate))
+	for bi := range spec.Generate {
+		if err := gens[bi].bind(&spec.Generate[bi], families, defaults, suite); err != nil {
+			return nil, fmt.Errorf("spec %s: generate[%d]: %w", spec.Wire, bi, err)
+		}
+	}
 
+	profiles := make([]Profile, 0, n)
 	for _, w := range spec.Workloads {
 		if w.Name == "" {
 			return nil, fmt.Errorf("spec %s: unnamed workload entry", spec.Wire)
@@ -371,13 +408,8 @@ func ParseSpec(data []byte) (*SuiteDef, error) {
 		p.Description = w.Description
 		profiles = append(profiles, p)
 	}
-
-	for bi, g := range spec.Generate {
-		ps, err := runGenerate(&spec, defaults, suite, g)
-		if err != nil {
-			return nil, fmt.Errorf("spec %s: generate[%d]: %w", spec.Wire, bi, err)
-		}
-		profiles = append(profiles, ps...)
+	for i := range gens {
+		profiles = gens[i].run(profiles)
 	}
 
 	if len(profiles) == 0 {
@@ -408,71 +440,100 @@ func ParseSpec(data []byte) (*SuiteDef, error) {
 	}, nil
 }
 
-// runGenerate executes one generator block: archetype = defaults +
+// boundFamily is a Family with its ops bound.
+type boundFamily struct {
+	name string
+	ops  []boundOp
+}
+
+// generator is a validated generate block: archetype = defaults +
 // overrides + block category/description, perturbed per emitted
 // workload from the block's seeded stream.
-func runGenerate(spec *Spec, defaults profileParams, suite Suite, g SpecGenerate) ([]Profile, error) {
-	pp, err := applyParams(defaults, g.Profile)
+type generator struct {
+	*SpecGenerate
+	arch Profile
+	fams []boundFamily // count mode only
+	post []boundOp
+}
+
+// bind validates the block and resolves everything run needs.
+func (g *generator) bind(sg *SpecGenerate, families map[string][]boundFamily, defaults profileParams, suite Suite) error {
+	pp, err := applyParams(defaults, sg.Profile)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	arch := pp.profile(suite)
-	arch.Category = g.Category
-	arch.Description = g.Description
-	for _, o := range g.Post {
-		if err := validateOp(o); err != nil {
-			return nil, fmt.Errorf("post: %w", err)
+	g.SpecGenerate = sg
+	g.arch = pp.profile(suite)
+	g.arch.Category = sg.Category
+	g.arch.Description = sg.Description
+	if g.post, err = bindOps(sg.Post); err != nil {
+		return fmt.Errorf("post: %w", err)
+	}
+	if len(sg.Seed) == 0 {
+		return fmt.Errorf("missing seed parts")
+	}
+	if sg.Spread < 0 || sg.Spread >= 1 {
+		return fmt.Errorf("spread %v outside [0,1)", sg.Spread)
+	}
+	if (sg.Count > 0) == (len(sg.Names) > 0) {
+		return fmt.Errorf("want exactly one of count or names")
+	}
+	if sg.Count > 0 {
+		if sg.Category == "" {
+			return fmt.Errorf("count mode requires a category (names derive from it)")
+		}
+		if g.fams = families[sg.Families]; len(g.fams) == 0 {
+			return fmt.Errorf("families %q not defined", sg.Families)
 		}
 	}
-	if len(g.Seed) == 0 {
-		return nil, fmt.Errorf("missing seed parts")
+	for _, name := range sg.Names {
+		if name == "" {
+			return fmt.Errorf("empty workload name")
+		}
 	}
-	if g.Spread < 0 || g.Spread >= 1 {
-		return nil, fmt.Errorf("spread %v outside [0,1)", g.Spread)
-	}
-	if (g.Count > 0) == (len(g.Names) > 0) {
-		return nil, fmt.Errorf("want exactly one of count or names")
-	}
+	return nil
+}
+
+// run appends the block's workloads to out. Count mode names them
+// "Category.Family.NN", cycling through the family list.
+func (g *generator) run(out []Profile) []Profile {
 	parts := make([]uint64, len(g.Seed))
 	for i, s := range g.Seed {
 		parts[i] = rng.HashString(s)
 	}
 	r := rng.NewFrom(parts...)
-
-	var out []Profile
 	if g.Count > 0 {
-		if g.Category == "" {
-			return nil, fmt.Errorf("count mode requires a category (names derive from it)")
-		}
-		fams := spec.Families[g.Families]
-		if len(fams) == 0 {
-			return nil, fmt.Errorf("families %q not defined", g.Families)
-		}
+		var name []byte
 		for i := 0; i < g.Count; i++ {
-			fam := fams[i%len(fams)]
-			name := fmt.Sprintf("%s.%s.%02d", g.Category, fam.Name, i/len(fams))
-			p := perturb(arch, name, r, g.Spread)
-			for _, o := range fam.Ops {
-				applyOp(&p, o)
+			fam := &g.fams[i%len(g.fams)]
+			name = append(name[:0], g.Category...)
+			name = append(name, '.')
+			name = append(name, fam.name...)
+			name = append(name, '.')
+			if k := i / len(g.fams); k < 10 {
+				name = append(name, '0', byte('0'+k))
+			} else {
+				name = strconv.AppendInt(name, int64(k), 10)
 			}
-			for _, o := range g.Post {
-				applyOp(&p, o)
+			out = append(out, perturb(g.arch, string(name), r, g.Spread))
+			p := &out[len(out)-1]
+			for j := range fam.ops {
+				fam.ops[j].apply(p)
 			}
-			out = append(out, p)
+			for j := range g.post {
+				g.post[j].apply(p)
+			}
 		}
-		return out, nil
+		return out
 	}
 	for _, name := range g.Names {
-		if name == "" {
-			return nil, fmt.Errorf("empty workload name")
+		out = append(out, perturb(g.arch, name, r, g.Spread))
+		p := &out[len(out)-1]
+		for j := range g.post {
+			g.post[j].apply(p)
 		}
-		p := perturb(arch, name, r, g.Spread)
-		for _, o := range g.Post {
-			applyOp(&p, o)
-		}
-		out = append(out, p)
 	}
-	return out, nil
+	return out
 }
 
 // sortedFamilyKeys gives a deterministic walk order over the family

@@ -1,8 +1,14 @@
 package workload
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -54,68 +60,72 @@ func TestParseSpecMinimal(t *testing.T) {
 	}
 }
 
+// specErrorCases are malformed documents, one parse-time rejection
+// each; FuzzParseSpec seeds its corpus from them too.
+var specErrorCases = []struct {
+	name    string
+	doc     []byte
+	wantErr string
+}{
+	{"not-json", []byte("nope"), "spec:"},
+	{"wrong-format", minimalSpec(func(s string) string {
+		return strings.Replace(s, "charnet-suite-spec", "other-format", 1)
+	}), `format "other-format"`},
+	{"wrong-version", minimalSpec(func(s string) string {
+		return strings.Replace(s, `"version": 1`, `"version": 99`, 1)
+	}), "version 99"},
+	{"bad-wire", minimalSpec(func(s string) string {
+		return strings.Replace(s, `"wire": "tiny"`, `"wire": "Not Wire"`, 1)
+	}), "wire name"},
+	{"missing-suite", minimalSpec(func(s string) string {
+		return strings.Replace(s, `"suite": "Tiny",`, "", 1)
+	}), "missing suite display name"},
+	{"unknown-top-level-key", minimalSpec(func(s string) string {
+		return strings.Replace(s, `"wire"`, `"wirr"`, 1)
+	}), "unknown field"},
+	{"unknown-profile-key", minimalSpec(func(s string) string {
+		return strings.Replace(s, `"ILP": 0.7`, `"IPL": 0.7`, 1)
+	}), "unknown field"},
+	{"unnamed-workload", minimalSpec(func(s string) string {
+		return strings.Replace(s, `{"name": "w1"}`, `{}`, 1)
+	}), "unnamed workload"},
+	{"duplicate-name", minimalSpec(func(s string) string {
+		return strings.Replace(s, `"name": "w2"`, `"name": "w1"`, 1)
+	}), `duplicate workload name "w1"`},
+	{"invalid-profile", minimalSpec(func(s string) string {
+		return strings.Replace(s, `{"ILP": 0.7}`, `{"BranchPredictability": 0.2}`, 1)
+	}), "BranchPredictability 0.2"},
+	{"microcode-above-one", minimalSpec(func(s string) string {
+		return strings.Replace(s, `{"ILP": 0.7}`, `{"MicrocodeFrac": 3}`, 1)
+	}), "MicrocodeFrac 3"},
+	{"negative-div", minimalSpec(func(s string) string {
+		return strings.Replace(s, `{"ILP": 0.7}`, `{"DivFrac": -0.01}`, 1)
+	}), "DivFrac -0.01"},
+	{"negative-alloc-rate", minimalSpec(func(s string) string {
+		return strings.Replace(s, `{"ILP": 0.7}`, `{"Managed": true, "AllocBytesPerKI": -8}`, 1)
+	}), "AllocBytesPerKI -8"},
+	{"exception-rate-above-1000", minimalSpec(func(s string) string {
+		return strings.Replace(s, `{"ILP": 0.7}`, `{"Managed": true, "ExceptionPKI": 1500}`, 1)
+	}), "ExceptionPKI 1500"},
+	{"negative-contention-rate", minimalSpec(func(s string) string {
+		return strings.Replace(s, `{"ILP": 0.7}`, `{"Managed": true, "ContentionPKI": -1}`, 1)
+	}), "ContentionPKI -1"},
+	{"method-count-above-bound", minimalSpec(func(s string) string {
+		return strings.Replace(s, `{"ILP": 0.7}`, `{"MethodCount": 65537}`, 1)
+	}), "MethodCount 65537 above 65536"},
+	{"code-footprint-above-bound", minimalSpec(func(s string) string {
+		return strings.Replace(s, `{"ILP": 0.7}`, `{"CodeFootprintBytes": 67108865}`, 1)
+	}), "CodeFootprintBytes 67108865 above 67108864"},
+	{"no-workloads", minimalSpec(func(s string) string {
+		return strings.Replace(s, `[{"name": "w1"}, {"name": "w2", "profile": {"ILP": 0.7}}]`, `[]`, 1)
+	}), "no workloads"},
+}
+
 // TestParseSpecErrors exercises every parse-time rejection: the engine
 // must fail loading, never generation, so a registered suite cannot
 // misbehave later.
 func TestParseSpecErrors(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		doc     []byte
-		wantErr string
-	}{
-		{"not-json", []byte("nope"), "spec:"},
-		{"wrong-format", minimalSpec(func(s string) string {
-			return strings.Replace(s, "charnet-suite-spec", "other-format", 1)
-		}), `format "other-format"`},
-		{"wrong-version", minimalSpec(func(s string) string {
-			return strings.Replace(s, `"version": 1`, `"version": 99`, 1)
-		}), "version 99"},
-		{"bad-wire", minimalSpec(func(s string) string {
-			return strings.Replace(s, `"wire": "tiny"`, `"wire": "Not Wire"`, 1)
-		}), "wire name"},
-		{"missing-suite", minimalSpec(func(s string) string {
-			return strings.Replace(s, `"suite": "Tiny",`, "", 1)
-		}), "missing suite display name"},
-		{"unknown-top-level-key", minimalSpec(func(s string) string {
-			return strings.Replace(s, `"wire"`, `"wirr"`, 1)
-		}), "unknown field"},
-		{"unknown-profile-key", minimalSpec(func(s string) string {
-			return strings.Replace(s, `"ILP": 0.7`, `"IPL": 0.7`, 1)
-		}), "unknown field"},
-		{"unnamed-workload", minimalSpec(func(s string) string {
-			return strings.Replace(s, `{"name": "w1"}`, `{}`, 1)
-		}), "unnamed workload"},
-		{"duplicate-name", minimalSpec(func(s string) string {
-			return strings.Replace(s, `"name": "w2"`, `"name": "w1"`, 1)
-		}), `duplicate workload name "w1"`},
-		{"invalid-profile", minimalSpec(func(s string) string {
-			return strings.Replace(s, `{"ILP": 0.7}`, `{"BranchPredictability": 0.2}`, 1)
-		}), "BranchPredictability 0.2"},
-		{"microcode-above-one", minimalSpec(func(s string) string {
-			return strings.Replace(s, `{"ILP": 0.7}`, `{"MicrocodeFrac": 3}`, 1)
-		}), "MicrocodeFrac 3"},
-		{"negative-div", minimalSpec(func(s string) string {
-			return strings.Replace(s, `{"ILP": 0.7}`, `{"DivFrac": -0.01}`, 1)
-		}), "DivFrac -0.01"},
-		{"negative-alloc-rate", minimalSpec(func(s string) string {
-			return strings.Replace(s, `{"ILP": 0.7}`, `{"Managed": true, "AllocBytesPerKI": -8}`, 1)
-		}), "AllocBytesPerKI -8"},
-		{"exception-rate-above-1000", minimalSpec(func(s string) string {
-			return strings.Replace(s, `{"ILP": 0.7}`, `{"Managed": true, "ExceptionPKI": 1500}`, 1)
-		}), "ExceptionPKI 1500"},
-		{"negative-contention-rate", minimalSpec(func(s string) string {
-			return strings.Replace(s, `{"ILP": 0.7}`, `{"Managed": true, "ContentionPKI": -1}`, 1)
-		}), "ContentionPKI -1"},
-		{"method-count-above-bound", minimalSpec(func(s string) string {
-			return strings.Replace(s, `{"ILP": 0.7}`, `{"MethodCount": 65537}`, 1)
-		}), "MethodCount 65537 above 65536"},
-		{"code-footprint-above-bound", minimalSpec(func(s string) string {
-			return strings.Replace(s, `{"ILP": 0.7}`, `{"CodeFootprintBytes": 67108865}`, 1)
-		}), "CodeFootprintBytes 67108865 above 67108864"},
-		{"no-workloads", minimalSpec(func(s string) string {
-			return strings.Replace(s, `[{"name": "w1"}, {"name": "w2", "profile": {"ILP": 0.7}}]`, `[]`, 1)
-		}), "no workloads"},
-	} {
+	for _, tc := range specErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseSpec(tc.doc)
 			if err == nil {
@@ -274,5 +284,149 @@ func TestExampleSpecsParse(t *testing.T) {
 		if _, err := ParseSpec(b); err != nil {
 			t.Errorf("%s: %v", f, err)
 		}
+	}
+}
+
+// builtinCatalogDigest is the SHA-256 of the built-in suites' profiles,
+// each suite rendered by json.Marshal, in registry order.
+const builtinCatalogDigest = "0371c3669fb1cd3a6f109e0b4c63b618a6969cdef864a6b1b268f8541c3b15d4"
+
+// TestBuiltinCatalogDigest pins every field of every built-in workload
+// to the bit: JSON spells each float64 bit pattern distinctly, -0
+// included, which a == comparison cannot tell from 0.
+func TestBuiltinCatalogDigest(t *testing.T) {
+	h := sha256.New()
+	for _, def := range Builtin().Suites() {
+		b, err := json.Marshal(def.Profiles())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(b)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != builtinCatalogDigest {
+		t.Fatalf("built-in catalog digest %s, want %s", got, builtinCatalogDigest)
+	}
+}
+
+// builtinSpecData returns the embedded spec documents in registry order.
+func builtinSpecData(tb testing.TB) [][]byte {
+	tb.Helper()
+	var docs [][]byte
+	for _, wire := range builtinOrder {
+		data, err := builtinSpecs.ReadFile("specs/" + wire + ".json")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		docs = append(docs, data)
+	}
+	return docs
+}
+
+// BenchmarkParseBuiltinSpecs times what every process pays before it
+// can answer: compiling the four embedded specs into the 3,023 built-in
+// workloads.
+func BenchmarkParseBuiltinSpecs(b *testing.B) {
+	docs := builtinSpecData(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, data := range docs {
+			if _, err := ParseSpec(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// FuzzParseSpec feeds arbitrary documents to the spec boundary. An
+// accepted spec must parse again to the same profiles, bit for bit, and
+// every profile it yields must pass Validate.
+func FuzzParseSpec(f *testing.F) {
+	for _, data := range builtinSpecData(f) {
+		f.Add(data)
+	}
+	example, err := os.ReadFile("../../examples/spec2017mem.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(example)
+	for _, tc := range specErrorCases {
+		f.Add(tc.doc)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		def, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		again, err := ParseSpec(data)
+		if err != nil {
+			t.Fatalf("second parse of an accepted spec failed: %v", err)
+		}
+		ps := def.Profiles()
+		for i := range ps {
+			if err := ps[i].Validate(); err != nil {
+				t.Fatalf("accepted profile fails Validate: %v", err)
+			}
+		}
+		a, err := json.Marshal(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(again.Profiles())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatal("two parses of one spec produced different profiles")
+		}
+	})
+}
+
+// TestParseSpecBadLastPostOpAllocatesLittle: a spec at the workload
+// bound whose last generator carries a malformed post op fails before
+// generating any workload.
+func TestParseSpecBadLastPostOpAllocatesLittle(t *testing.T) {
+	count := MaxSuiteWorkloads - 3 // the two explicit workloads and one named
+	doc := addGenerate(fmt.Sprintf(`{"category": "C", "seed": ["x"], "spread": 0.2, "count": %d, "families": "fams"}, `+
+		`{"seed": ["y"], "spread": 0.2, "names": ["n"], "post": [{"field": "ILP", "op": "frobnicate"}]}`, count))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ParseSpec(doc)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), `generate[1]: post: field ILP: unknown op "frobnicate"`) {
+		t.Fatalf("ParseSpec error %v, want generate[1]'s bad post op", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("rejecting the spec allocated %d bytes, want under 1 MiB", alloc)
+	}
+}
+
+// TestOpFieldsMatchParams: the op vocabulary is exactly the numeric
+// fields of profileParams, and each name's accessors reach the Profile
+// field of that name.
+func TestOpFieldsMatchParams(t *testing.T) {
+	typ := reflect.TypeOf(profileParams{})
+	numeric := 0
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		switch typ.Field(i).Type.Kind() {
+		case reflect.Float64, reflect.Int, reflect.Int64:
+		default:
+			continue
+		}
+		numeric++
+		f, ok := opFields[name]
+		if !ok {
+			t.Errorf("numeric parameter %s has no op field", name)
+			continue
+		}
+		var p Profile
+		f.set(&p, 42)
+		v := reflect.ValueOf(p).FieldByName(name)
+		if got := f.get(&p); got != 42 || !v.Equal(reflect.ValueOf(42).Convert(v.Type())) {
+			t.Errorf("op field %s reads %v and stores %v, want 42 in Profile.%s", name, got, v, name)
+		}
+	}
+	if len(opFields) != numeric {
+		t.Errorf("%d op fields, want the %d numeric parameters", len(opFields), numeric)
 	}
 }

@@ -20,9 +20,13 @@
 #                little about state several goroutines share
 #   fuzz budget  every native fuzz target fuzzed for 5 s beyond its seed
 #                corpus (go test -fuzz), so a new crasher on the mem,
-#                rng, cluster or mstore-entry boundaries, or a JSON
-#                artifact rendering that departs from the encoding/json
-#                reference, fails here
+#                rng, cluster, mstore-entry or suite-spec boundaries, a
+#                suite spec that parses twice to different profiles, or
+#                a JSON artifact rendering that departs from the
+#                encoding/json reference, fails here; minimizing a new
+#                input stops after 1 s, or the 37 KB built-in spec seed
+#                of FuzzParseSpec would spend the whole budget on one
+#                minimization
 #   perfbench    the benchmark module's own tests (cd perfbench && go
 #   smoke        test ./...): tiny runs of all four workloads, every
 #                output checked against perfbench/digests.json, so a
@@ -97,8 +101,8 @@ echo "== fuzz budget (5 s per native fuzz target)"
 for target in internal/mem:FuzzCacheAccess internal/mem:FuzzTLBLookup \
     internal/mem:FuzzResetPrewarm internal/cluster:FuzzAgglomerate \
     internal/rng:FuzzHitMatchesBool internal/mstore:FuzzGet \
-    internal/artifact:FuzzWriteJSON; do
-    go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 5s "./${target%%:*}"
+    internal/artifact:FuzzWriteJSON internal/workload:FuzzParseSpec; do
+    go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 5s -fuzzminimizetime 1s "./${target%%:*}"
 done
 
 echo "== perfbench smoke (tiny runs of every workload against recorded digests)"
