@@ -36,7 +36,7 @@ const (
 )
 
 // Kinds returns the full payload vocabulary in declaration order, for
-// validators that must stay exhaustive (cmd/artifactcheck).
+// validators that must stay exhaustive (CheckJSON).
 func Kinds() []Kind {
 	return []Kind{KindTable, KindSeries, KindScatter, KindTree, KindNote}
 }

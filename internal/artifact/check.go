@@ -8,9 +8,9 @@ import (
 )
 
 // CheckJSON validates one JSON artifact array against the schema the
-// WriteJSON renderer promises. It is the library form of the
-// cmd/artifactcheck validator, shared so the serving tests can hold HTTP
-// response bodies to exactly the schema the CLI output is held to.
+// WriteJSON renderer promises. `charnet-check artifact` runs it, and the
+// serving tests share it to hold HTTP response bodies to exactly the
+// schema the CLI output is held to.
 //
 // Checks:
 //

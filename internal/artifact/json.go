@@ -12,7 +12,7 @@ import (
 // WriteJSON emits the artifacts as one indented JSON array. Every payload
 // is wrapped in a {"kind": ..., "data": ...} envelope so consumers can
 // dispatch without probing field names, and non-finite numbers are
-// encoded as null (JSON has no NaN/Inf; cmd/artifactcheck enforces that
+// encoded as null (JSON has no NaN/Inf; CheckJSON enforces that
 // none leak in any other form). A non-finite tree distance is an error,
 // and a failed call writes nothing.
 //

@@ -84,7 +84,6 @@ type Heap struct {
 	gen0Budget int64
 
 	// Counters.
-	allocatedTotal  int64
 	sinceTick       int64
 	Collections     uint64
 	Gen0Collections uint64
@@ -170,7 +169,6 @@ func (h *Heap) Allocate(n int64, cycle uint64) (gcTriggered bool) {
 	if n <= 0 {
 		return false
 	}
-	h.allocatedTotal += n
 	h.nursery += n
 	h.sinceTick += n
 	for h.sinceTick >= allocationTickBytes {
@@ -236,6 +234,3 @@ func (h *Heap) GCInstructionCost() uint64 {
 	}
 	return uint64(base + perLine*float64(h.cfg.LiveSetBytes/64))
 }
-
-// AllocatedTotal returns total bytes allocated.
-func (h *Heap) AllocatedTotal() int64 { return h.allocatedTotal }

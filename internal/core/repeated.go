@@ -71,16 +71,3 @@ func MeasureRepeated(p workload.Profile, m *machine.Config, opts sim.Options, ru
 func (r *Repeated) Steady(maxCoV float64) bool {
 	return r.CPICoV <= maxCoV
 }
-
-// Throughputs extracts per-workload throughput figures (instructions per
-// simulated second — the simulator's stand-in for requests/sec) from
-// measurements. §IV-B: ASP.NET performance is a throughput metric.
-func Throughputs(ms []Measurement) []float64 {
-	out := make([]float64, len(ms))
-	for i, m := range ms {
-		if m.Err == nil && m.Result != nil && m.Result.Counters.WallSeconds > 0 {
-			out[i] = float64(m.Result.Counters.Instructions) / m.Result.Counters.WallSeconds / m.Workload.InstructionScale
-		}
-	}
-	return out
-}

@@ -21,15 +21,15 @@ type suiteBars struct {
 // subsetVectors returns Table IV subset measurements for all three suites.
 func (l *Lab) subsetVectors(ctx context.Context) (dn, asp, spec []core.Measurement, err error) {
 	m := machine.CoreI9()
-	cats, err := l.DotNetCategories(ctx, m)
+	cats, err := l.MeasureSuiteByName(ctx, "dotnet", m)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	aspAll, err := l.AspNet(ctx, m)
+	aspAll, err := l.MeasureSuiteByName(ctx, "aspnet", m)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	specAll, err := l.Spec(ctx, m)
+	specAll, err := l.MeasureSuiteByName(ctx, "spec", m)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -353,11 +353,11 @@ type Figure7Result struct {
 
 // Figure7 measures the .NET subset on both ISAs.
 func Figure7(ctx context.Context, l *Lab) (*Figure7Result, error) {
-	x86Cats, err := l.DotNetCategories(ctx, machine.CoreI9())
+	x86Cats, err := l.MeasureSuiteByName(ctx, "dotnet", machine.CoreI9())
 	if err != nil {
 		return nil, err
 	}
-	armCats, err := l.DotNetCategories(ctx, machine.Arm())
+	armCats, err := l.MeasureSuiteByName(ctx, "dotnet", machine.Arm())
 	if err != nil {
 		return nil, err
 	}

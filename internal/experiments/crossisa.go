@@ -31,7 +31,7 @@ func CrossISA(ctx context.Context, l *Lab) (*CrossISAResult, error) {
 	x86M := machine.CoreI9()
 	armM := machine.Arm()
 
-	base, err := l.DotNetCategories(ctx, baseM)
+	base, err := l.MeasureSuiteByName(ctx, "dotnet", baseM)
 	if err != nil {
 		return nil, err
 	}

@@ -305,28 +305,6 @@ func (l *Lab) plan(def *workload.SuiteDef) *suitePlan {
 	return p
 }
 
-// DotNetCategories measures the 44 .NET category archetypes on m.
-func (l *Lab) DotNetCategories(ctx context.Context, m *machine.Config) ([]core.Measurement, error) {
-	return l.MeasureSuiteByName(ctx, "dotnet", m)
-}
-
-// DotNetIndividual measures the individual .NET microbenchmarks on m,
-// honoring the configured limit.
-func (l *Lab) DotNetIndividual(ctx context.Context, m *machine.Config) ([]core.Measurement, error) {
-	return l.MeasureSuiteByName(ctx, "dotnet-individual", m)
-}
-
-// AspNet measures the 53 ASP.NET benchmarks on m at their natural core
-// counts.
-func (l *Lab) AspNet(ctx context.Context, m *machine.Config) ([]core.Measurement, error) {
-	return l.MeasureSuiteByName(ctx, "aspnet", m)
-}
-
-// Spec measures the SPEC CPU17 catalog on m.
-func (l *Lab) Spec(ctx context.Context, m *machine.Config) ([]core.Measurement, error) {
-	return l.MeasureSuiteByName(ctx, "spec", m)
-}
-
 // TableIVDotNetSubset is the paper's chosen 8-category .NET subset.
 var TableIVDotNetSubset = []string{
 	"System.Runtime", "System.Threading", "System.ComponentModel",

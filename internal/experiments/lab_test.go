@@ -155,7 +155,7 @@ func TestDotNetIndividualExactLimit(t *testing.T) {
 		cfg.Instructions = 1200
 		cfg.DotNetIndividualLimit = n
 		lab := NewLab(cfg)
-		ms, err := lab.DotNetIndividual(context.Background(), machine.CoreI9())
+		ms, err := lab.MeasureSuiteByName(context.Background(), "dotnet-individual", machine.CoreI9())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,12 +173,12 @@ func TestDotNetIndividualKeyedOnSelection(t *testing.T) {
 	cfg.DotNetIndividualLimit = 5
 	lab := NewLab(cfg)
 	m := machine.CoreI9()
-	a, err := lab.DotNetIndividual(context.Background(), m)
+	a, err := lab.MeasureSuiteByName(context.Background(), "dotnet-individual", m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lab.Cfg.DotNetIndividualLimit = 9
-	b, err := lab.DotNetIndividual(context.Background(), m)
+	b, err := lab.MeasureSuiteByName(context.Background(), "dotnet-individual", m)
 	if err != nil {
 		t.Fatal(err)
 	}

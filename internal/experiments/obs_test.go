@@ -75,7 +75,7 @@ func TestSingleflightCoalescedCounter(t *testing.T) {
 	done := make(chan struct{})
 	for i := 0; i < callers; i++ {
 		go func() {
-			lab.DotNetCategories(context.Background(), m)
+			lab.MeasureSuiteByName(context.Background(), "dotnet", m)
 			done <- struct{}{}
 		}()
 	}
@@ -93,7 +93,7 @@ func TestSingleflightCoalescedCounter(t *testing.T) {
 			coalesced, hits, coalesced+hits, callers-1)
 	}
 	// A repeat on the now-warm in-memory cache is a plain hit.
-	if _, err := lab.DotNetCategories(context.Background(), m); err != nil {
+	if _, err := lab.MeasureSuiteByName(context.Background(), "dotnet", m); err != nil {
 		t.Fatal(err)
 	}
 	if got := lab.Obs.Counter("lab.memcache.hits"); got != hits+1 {

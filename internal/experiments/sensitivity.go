@@ -146,16 +146,6 @@ func Sensitivity(ctx context.Context, l *Lab) (*SensitivityResult, error) {
 	return out, nil
 }
 
-// AllHold reports whether every ordering holds in every configuration.
-func (r *SensitivityResult) AllHold() bool {
-	for _, row := range r.Rows {
-		if !(row.KernelOrdering && row.LLCOrdering && row.FEOrdering && row.ISideOrdering) {
-			return false
-		}
-	}
-	return true
-}
-
 // Artifact renders the sweep: header plus the holds/FLIPS table.
 func (r *SensitivityResult) Artifact() *artifact.Artifact {
 	mark := func(ok bool) artifact.Value {

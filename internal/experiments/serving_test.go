@@ -13,9 +13,8 @@ import (
 	"repro/internal/workload"
 )
 
-// TestMeasureSuiteByNameRoutes: every published suite name measures, the
-// result matches the direct method call (same Lab cache key), and an
-// unknown name errors with the roster.
+// TestMeasureSuiteByNameRoutes: every published suite name measures, and
+// an unknown name errors with the roster.
 func TestMeasureSuiteByNameRoutes(t *testing.T) {
 	lab := NewLab(Config{Instructions: 2000, DotNetIndividualLimit: 5})
 	m := machine.CoreI9()
@@ -29,24 +28,6 @@ func TestMeasureSuiteByNameRoutes(t *testing.T) {
 			t.Fatalf("suite %q: no measurements", suite)
 		}
 	}
-	// The by-name route and the direct method must share one cache entry:
-	// identical vectors, no divergence.
-	direct, err := lab.AspNet(ctx, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	routed, err := lab.MeasureSuiteByName(ctx, "aspnet", m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(direct) != len(routed) {
-		t.Fatalf("routed %d measurements, direct %d", len(routed), len(direct))
-	}
-	for i := range direct {
-		if direct[i].Vector != routed[i].Vector {
-			t.Fatalf("measurement %d diverges between routed and direct calls", i)
-		}
-	}
 	if _, err := lab.MeasureSuiteByName(ctx, "nope", m); err == nil || !strings.Contains(err.Error(), "unknown suite") {
 		t.Fatalf("unknown suite returned %v, want unknown-suite error", err)
 	}
@@ -55,7 +36,7 @@ func TestMeasureSuiteByNameRoutes(t *testing.T) {
 // TestFilterMeasurements: order follows the request, unknown names skip.
 func TestFilterMeasurements(t *testing.T) {
 	lab := NewLab(Config{Instructions: 2000})
-	ms, err := lab.DotNetCategories(context.Background(), machine.CoreI9())
+	ms, err := lab.MeasureSuiteByName(context.Background(), "dotnet", machine.CoreI9())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -352,7 +352,7 @@ func Figure2(ctx context.Context, l *Lab) (*Figure2Result, error) {
 	baseM, fastM := machine.XeonE5(), machine.CoreI9()
 
 	// --- Subset A: categories ---
-	baseCats, err := l.DotNetCategories(ctx, baseM)
+	baseCats, err := l.MeasureSuiteByName(ctx, "dotnet", baseM)
 	if err != nil {
 		return nil, err
 	}
@@ -372,7 +372,7 @@ func Figure2(ctx context.Context, l *Lab) (*Figure2Result, error) {
 	valAO.Name = "Subset A(o) (optimal)"
 
 	// --- Subset B: individual workloads ---
-	baseInd, err := l.DotNetIndividual(ctx, baseM)
+	baseInd, err := l.MeasureSuiteByName(ctx, "dotnet-individual", baseM)
 	if err != nil {
 		return nil, err
 	}

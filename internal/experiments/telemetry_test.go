@@ -39,7 +39,7 @@ func TestTelemetryDisabled(t *testing.T) {
 func TestTelemetryEnabled(t *testing.T) {
 	lab := NewLab(Quick())
 	lab.Obs = obs.New()
-	if _, err := lab.DotNetCategories(context.Background(), machine.CoreI9()); err != nil {
+	if _, err := lab.MeasureSuiteByName(context.Background(), "dotnet", machine.CoreI9()); err != nil {
 		t.Fatal(err)
 	}
 	res, err := Telemetry(context.Background(), lab)

@@ -190,16 +190,6 @@ func SelectMatrix(vs []Vector, ids []ID) [][]float64 {
 	return out
 }
 
-// SelectNames returns the metric names for a set of IDs, used to label
-// loading-factor tables.
-func SelectNames(ids []ID) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = id.Name()
-	}
-	return out
-}
-
 // Validate reports an error if the vector contains values that are
 // impossible under Table I's normalization (negative rates, percentage
 // metrics outside [0, 100]).

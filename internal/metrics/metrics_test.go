@@ -102,10 +102,6 @@ func TestMatrixShapes(t *testing.T) {
 	if len(sm) != 2 || len(sm[0]) != 7 {
 		t.Fatalf("SelectMatrix shape %dx%d", len(sm), len(sm[0]))
 	}
-	names := SelectNames(ControlFlowIDs())
-	if names[1] != "branch MPKI" {
-		t.Fatalf("SelectNames = %v", names)
-	}
 }
 
 func TestValidate(t *testing.T) {

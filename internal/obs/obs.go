@@ -52,9 +52,6 @@ type systemClock struct{}
 
 func (systemClock) Now() time.Time { return time.Now() }
 
-// SystemClock returns the real wall clock (the default for New).
-func SystemClock() Clock { return systemClock{} }
-
 // A Trace collects spans, counters, gauges and histograms for one
 // pipeline run. The zero value is not used; construct with New. A nil
 // *Trace is the disabled state: every method no-ops.

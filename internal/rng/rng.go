@@ -157,11 +157,6 @@ func (r *Rand) NormFloat64() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// LogNormal returns exp(mu + sigma*Z) for a standard normal Z.
-func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
-}
-
 // Exp returns an exponential variate with the given rate (mean 1/rate).
 func (r *Rand) Exp(rate float64) float64 {
 	if rate <= 0 {

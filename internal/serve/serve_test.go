@@ -79,7 +79,7 @@ func postJSON(t *testing.T, srv *httptest.Server, path, body string) (*http.Resp
 }
 
 // checkArtifactBody validates a response body against the artifact JSON
-// schema shared with cmd/artifactcheck.
+// schema, artifact.CheckJSON, that charnet-check artifact runs.
 func checkArtifactBody(t *testing.T, body []byte) {
 	t.Helper()
 	if _, _, problems := artifact.CheckJSON(bytes.NewReader(body)); len(problems) != 0 {
@@ -959,5 +959,23 @@ func BenchmarkNewServer(b *testing.B) {
 		tr := obs.New()
 		s := New(quickLab(tr), tr, Config{})
 		s.Close()
+	}
+}
+
+// BenchmarkUnknownWorkloads times the name check a /v1/measure request
+// pays before admission, for a request naming every dotnet-individual
+// workload.
+func BenchmarkUnknownWorkloads(b *testing.B) {
+	def, _ := workload.Builtin().Lookup("dotnet-individual")
+	names := make([]string, def.Len())
+	for i := range names {
+		names[i] = def.Name(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if unknown := unknownWorkloads(def, names); len(unknown) != 0 {
+			b.Fatalf("unknown names %v", unknown)
+		}
 	}
 }

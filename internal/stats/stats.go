@@ -207,33 +207,6 @@ func Standardize(rows [][]float64) (out [][]float64, means, stds []float64) {
 	return out, means, stds
 }
 
-// Summary holds the five-number-ish summary used in reports.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Median float64
-	Max    float64
-	GM     float64
-}
-
-// Summarize computes a Summary of xs. Empty input yields a zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		Median: Median(xs),
-		Max:    Max(xs),
-		GM:     GeoMean(xs),
-	}
-}
-
 // Euclidean returns the Euclidean distance between two equal-length vectors.
 func Euclidean(a, b []float64) float64 {
 	if len(a) != len(b) {

@@ -223,17 +223,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Min != 1 || s.Max != 4 || s.Mean != 2.5 {
-		t.Fatalf("Summarize = %+v", s)
-	}
-	var empty Summary
-	if Summarize(nil) != empty {
-		t.Fatal("Summarize(nil) should be zero")
-	}
-}
-
 func TestMismatchPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"Pearson":    func() { Pearson([]float64{1}, []float64{1, 2}) },

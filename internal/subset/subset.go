@@ -155,22 +155,3 @@ func Optimal(scores []float64, clusters [][]int, maxCombos int) Validation {
 	}
 	return Validate("optimal(greedy)", scores, pick)
 }
-
-// ThroughputScores converts per-workload throughputs (requests/sec style,
-// bigger is better) into scores relative to the baseline machine:
-// score = throughput on machine A / throughput on the baseline. §IV-B
-// notes ASP.NET performance is evaluated with throughput rather than
-// execution time; the composite geomean then works identically.
-func ThroughputScores(baselineTput, machineTput []float64) ([]float64, error) {
-	if len(baselineTput) != len(machineTput) {
-		return nil, fmt.Errorf("subset: throughput vectors differ in length: %d vs %d", len(baselineTput), len(machineTput))
-	}
-	out := make([]float64, len(baselineTput))
-	for i := range baselineTput {
-		if baselineTput[i] <= 0 || machineTput[i] <= 0 {
-			return nil, fmt.Errorf("subset: non-positive throughput at workload %d", i)
-		}
-		out[i] = machineTput[i] / baselineTput[i]
-	}
-	return out, nil
-}

@@ -140,31 +140,3 @@ func TestOptimalAtLeastAsGoodAsMedoidsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestThroughputScores(t *testing.T) {
-	// Machine A serves 2x the requests/sec: score 2 on both workloads.
-	s, err := ThroughputScores([]float64{100, 50}, []float64{200, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s[0] != 2 || s[1] != 2 {
-		t.Fatalf("scores %v", s)
-	}
-	if _, err := ThroughputScores([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := ThroughputScores([]float64{0}, []float64{1}); err == nil {
-		t.Fatal("zero throughput accepted")
-	}
-	// Time-based and throughput-based scores agree when throughput is the
-	// reciprocal of time.
-	times := []float64{4, 8}
-	fastTimes := []float64{2, 2}
-	st, _ := Scores(times, fastTimes)
-	tput, _ := ThroughputScores([]float64{1 / times[0], 1 / times[1]}, []float64{1 / fastTimes[0], 1 / fastTimes[1]})
-	for i := range st {
-		if !almost(st[i], tput[i], 1e-12) {
-			t.Fatalf("time score %v vs throughput score %v", st[i], tput[i])
-		}
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -25,51 +24,6 @@ func sampleTrace() *obs.Trace {
 	return tr
 }
 
-// parseFamilies splits exposition text into name -> sample lines and
-// checks basic well-formedness (every non-comment line is "name{...} value"
-// with a parseable value, every family has a # TYPE line).
-func parseFamilies(t *testing.T, text string) map[string][]string {
-	t.Helper()
-	typed := map[string]bool{}
-	families := map[string][]string{}
-	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
-		if strings.HasPrefix(line, "# TYPE ") {
-			f := strings.Fields(line)
-			if len(f) != 4 {
-				t.Fatalf("malformed TYPE line %q", line)
-			}
-			typed[f[2]] = true
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, rest, _ := strings.Cut(line, " ")
-		if base, _, ok := strings.Cut(name, "{"); ok {
-			name = base
-		}
-		val := rest[strings.LastIndexByte(rest, ' ')+1:]
-		if val != "+Inf" {
-			if _, err := strconv.ParseFloat(val, 64); err != nil {
-				t.Fatalf("unparseable sample value in %q: %v", line, err)
-			}
-		}
-		families[name] = append(families[name], line)
-	}
-	for name := range families {
-		base := name
-		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-			if s, ok := strings.CutSuffix(name, suffix); ok {
-				base = s
-			}
-		}
-		if !typed[base] && !typed[name] {
-			t.Errorf("family %s has no # TYPE line", name)
-		}
-	}
-	return families
-}
-
 func TestWritePrometheus(t *testing.T) {
 	tr := sampleTrace()
 	var b strings.Builder
@@ -77,9 +31,7 @@ func TestWritePrometheus(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := b.String()
-	fams := parseFamilies(t, text)
-
-	for _, want := range []string{
+	if problems := CheckExposition(text, []string{
 		"charnet_mstore_hits_total",
 		"charnet_mstore_misses_total",
 		"charnet_pool_utilization",
@@ -90,74 +42,22 @@ func TestWritePrometheus(t *testing.T) {
 		"charnet_measure_latency_seconds_max",
 		"charnet_measure_latency_seconds_quantile",
 		"charnet_sim_phase_run_seconds_count",
-	} {
-		if len(fams[want]) == 0 {
-			t.Errorf("missing family %s in:\n%s", want, text)
-		}
+	}); len(problems) != 0 {
+		t.Fatalf("exposition rejected:\n%s\n---\n%s", strings.Join(problems, "\n"), text)
 	}
 	if !strings.Contains(text, "charnet_mstore_hits_total 7\n") {
 		t.Errorf("counter value not rendered:\n%s", text)
 	}
-
-	// Histogram contract: le bounds ascending, cumulative counts
-	// non-decreasing, +Inf bucket equals _count.
-	buckets := fams["charnet_measure_latency_seconds_bucket"]
-	if len(buckets) < 3 {
-		t.Fatalf("expected several buckets, got %v", buckets)
-	}
-	var prevLE, prevCum float64
-	var infCount string
-	for i, line := range buckets {
-		le := line[strings.Index(line, `le="`)+4:]
-		le = le[:strings.IndexByte(le, '"')]
-		cum, err := strconv.ParseFloat(strings.Fields(line)[1], 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if le == "+Inf" {
-			if i != len(buckets)-1 {
-				t.Errorf("+Inf bucket must be last: %v", buckets)
-			}
-			infCount = strings.Fields(line)[1]
-		} else {
-			v, err := strconv.ParseFloat(le, 64)
-			if err != nil {
-				t.Fatalf("bad le %q: %v", le, err)
-			}
-			if v <= prevLE && i > 0 {
-				t.Errorf("le bounds not ascending at %q", line)
-			}
-			prevLE = v
-		}
-		if cum < prevCum {
-			t.Errorf("cumulative count decreased at %q", line)
-		}
-		prevCum = cum
-	}
-	wantCount := strings.Fields(fams["charnet_measure_latency_seconds_count"][0])[1]
-	if infCount != wantCount {
-		t.Errorf("+Inf bucket %s != _count %s", infCount, wantCount)
+	if n := strings.Count(text, "charnet_measure_latency_seconds_bucket"); n < 3 {
+		t.Errorf("expected several buckets, got %d", n)
 	}
 
-	// Quantile companions: exactly 0.5/0.95/0.99, values in seconds and
-	// ordered. 100 uniform samples of 1..100ms put p50 near 0.05s.
-	qs := fams["charnet_measure_latency_seconds_quantile"]
-	if len(qs) != 3 {
-		t.Fatalf("want 3 quantile samples, got %v", qs)
-	}
-	var qv []float64
-	for _, line := range qs {
-		v, err := strconv.ParseFloat(strings.Fields(line)[1], 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qv = append(qv, v)
-	}
-	if !sort.Float64sAreSorted(qv) {
-		t.Errorf("quantiles not ordered: %v", qv)
-	}
-	if qv[0] < 0.04 || qv[0] > 0.06 {
-		t.Errorf("p50 = %v s, want ~0.05", qv[0])
+	// Quantile values are in seconds: 100 uniform samples of 1..100ms put
+	// p50 near 0.05s.
+	_, p50, _ := strings.Cut(text, `charnet_measure_latency_seconds_quantile{quantile="0.5"} `)
+	p50, _, _ = strings.Cut(p50, "\n")
+	if v, err := strconv.ParseFloat(p50, 64); err != nil || v < 0.04 || v > 0.06 {
+		t.Errorf("p50 = %q s (%v), want ~0.05", p50, err)
 	}
 
 	// Determinism: a second render of the same trace is byte-identical.

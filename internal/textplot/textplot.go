@@ -8,7 +8,6 @@ package textplot
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -181,16 +180,6 @@ func Table(title string, header []string, rows [][]string) string {
 		line(r)
 	}
 	return b.String()
-}
-
-// SortedKeys returns map keys sorted, for deterministic rendering.
-func SortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // heatGlyphs maps [-1, 1] onto a diverging glyph ramp (negative left,

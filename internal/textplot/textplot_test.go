@@ -55,13 +55,6 @@ func TestTable(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	keys := SortedKeys(map[string]float64{"b": 1, "a": 2})
-	if keys[0] != "a" || keys[1] != "b" {
-		t.Fatalf("keys %v", keys)
-	}
-}
-
 func TestHeatmap(t *testing.T) {
 	out := Heatmap("hm", []string{"rowA", "rowB"}, []string{"x", "y", "z"},
 		[][]float64{{-1, 0, 1}, {0.5, -0.5, 0}})

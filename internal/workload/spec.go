@@ -415,13 +415,13 @@ func ParseSpec(data []byte) (*SuiteDef, error) {
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("spec %s: no workloads", spec.Wire)
 	}
-	seen := make(map[string]bool, len(profiles))
+	byName := make(map[string]int, len(profiles))
 	for i := range profiles {
 		p := &profiles[i]
-		if seen[p.Name] {
+		if _, dup := byName[p.Name]; dup {
 			return nil, fmt.Errorf("spec %s: duplicate workload name %q", spec.Wire, p.Name)
 		}
-		seen[p.Name] = true
+		byName[p.Name] = i
 		if err := p.Validate(); err != nil {
 			return nil, fmt.Errorf("spec %s: %w", spec.Wire, err)
 		}
@@ -437,6 +437,7 @@ func ParseSpec(data []byte) (*SuiteDef, error) {
 		Description: spec.Description,
 		Measurement: meas,
 		profiles:    profiles,
+		byName:      byName,
 	}, nil
 }
 

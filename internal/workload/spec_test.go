@@ -60,6 +60,22 @@ func TestParseSpecMinimal(t *testing.T) {
 	}
 }
 
+// TestLookupIndexesCatalog: Lookup answers from its name index exactly
+// the catalog entry of that name, for every built-in workload.
+func TestLookupIndexesCatalog(t *testing.T) {
+	for _, def := range Builtin().Suites() {
+		ps := def.Profiles()
+		for i := range ps {
+			if p, ok := def.Lookup(ps[i].Name); !ok || p != ps[i] {
+				t.Fatalf("%s: Lookup(%q) ok=%v does not return catalog entry %d", def.Wire, ps[i].Name, ok, i)
+			}
+		}
+		if _, ok := def.Lookup("no-such-workload"); ok {
+			t.Fatalf("%s: Lookup found a name the catalog lacks", def.Wire)
+		}
+	}
+}
+
 // specErrorCases are malformed documents, one parse-time rejection
 // each; FuzzParseSpec seeds its corpus from them too.
 var specErrorCases = []struct {

@@ -20,26 +20,30 @@
 #                little about state several goroutines share
 #   fuzz budget  every native fuzz target fuzzed for 5 s beyond its seed
 #                corpus (go test -fuzz), so a new crasher on the mem,
-#                rng, cluster, mstore-entry or suite-spec boundaries, a
-#                suite spec that parses twice to different profiles, or
-#                a JSON artifact rendering that departs from the
-#                encoding/json reference, fails here; minimizing a new
-#                input stops after 1 s, or the 37 KB built-in spec seed
-#                of FuzzParseSpec would spend the whole budget on one
-#                minimization
+#                rng, cluster, mstore-entry, suite-spec or exposition
+#                boundaries, a suite spec that parses twice to different
+#                profiles, an exposition check that changes its verdict
+#                between calls, or a JSON artifact rendering that departs
+#                from the encoding/json reference, fails here;
+#                minimizing a new input stops after 1 s, or the 37 KB
+#                built-in spec seed of FuzzParseSpec would spend the
+#                whole budget on one minimization
 #   perfbench    the benchmark module's own tests (cd perfbench && go
 #   smoke        test ./...): tiny runs of all four workloads, every
 #                output checked against perfbench/digests.json, so a
 #                break in bit-identity on the benchmark path fails here
 #                and not only when the benchmark runs
+#   validators   cmd/charnet-check is built once; each smoke below checks
+#                its format with it (charnet-check artifact|trace|metrics)
 #   trace smoke  charnet -trace-out on a real driver, validated by
-#                cmd/tracecheck, with stdout checked byte-identical to an
-#                untraced run (the observability determinism contract)
+#                charnet-check trace, with stdout checked byte-identical
+#                to an untraced run (the observability determinism
+#                contract)
 #   telemetry    charnet -telemetry-addr on a real driver, its /metrics
-#   smoke        endpoint scraped mid-run and validated by
-#                cmd/metricscheck (Prometheus format, histogram
-#                invariants, required latency families), with stdout
-#                again checked byte-identical to an untraced run
+#   smoke        endpoint scraped mid-run and validated by charnet-check
+#                metrics (Prometheus format, histogram invariants,
+#                required latency families), with stdout again checked
+#                byte-identical to an untraced run
 #   render smoke charnet -full all diffed byte-for-byte against
 #                docs/full_output.txt (the artifact text renderer must
 #                reproduce the legacy renderings exactly), twice over one
@@ -47,18 +51,20 @@
 #                pass stored (reads re-derive every measurement from its
 #                counters, so a drift in the last digit fails here); then
 #                the same drivers as -format json validated by
-#                cmd/artifactcheck, again from the warm store
-#   spec smoke   every examples/*.json workload spec validated by
-#                cmd/artifactcheck -spec, then charnet -suite-spec
-#                examples/spec2017mem.json table4 run end-to-end: the
-#                text rendering must grow the external suite's column
-#                and the JSON rendering must still validate
+#                charnet-check artifact, again from the warm store
+#   spec smoke   every examples/*.json workload spec loaded by charnet
+#                -suite-spec F suites (a spec that does not parse exits
+#                1), then charnet -suite-spec examples/spec2017mem.json
+#                table4 run end-to-end: the text rendering must grow the
+#                external suite's column and the JSON rendering must
+#                still validate
 #   daemon smoke charnetd on an ephemeral port: one /v1/measure request
-#                validated by cmd/artifactcheck and compared byte-for-byte
-#                with charnet -format json export of the same suite (one
-#                output for a suite measurement), /metrics scraped by
-#                cmd/metricscheck for the serve.* families, then SIGTERM
-#                and a clean (exit 0) graceful drain
+#                validated by charnet-check artifact and compared
+#                byte-for-byte with charnet -format json export of the
+#                same suite (one output for a suite measurement), which
+#                is validated too, /metrics scraped by charnet-check
+#                metrics for the serve.* families, then SIGTERM and a
+#                clean (exit 0) graceful drain
 #
 # Tier-1 (go build + go test) is the floor; this script is the gate every
 # PR should pass.
@@ -101,14 +107,19 @@ echo "== fuzz budget (5 s per native fuzz target)"
 for target in internal/mem:FuzzCacheAccess internal/mem:FuzzTLBLookup \
     internal/mem:FuzzResetPrewarm internal/cluster:FuzzAgglomerate \
     internal/rng:FuzzHitMatchesBool internal/mstore:FuzzGet \
-    internal/artifact:FuzzWriteJSON internal/workload:FuzzParseSpec; do
+    internal/artifact:FuzzWriteJSON internal/workload:FuzzParseSpec \
+    internal/telemetry:FuzzCheckExposition; do
     go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 5s -fuzzminimizetime 1s "./${target%%:*}"
 done
 
 echo "== perfbench smoke (tiny runs of every workload against recorded digests)"
 (cd perfbench && go test ./...)
 
-echo "== trace smoke (charnet -trace-out + tracecheck + stdout equivalence)"
+echo "== build charnet-check (one validator for artifacts, traces and expositions)"
+check="$workdir/charnet-check"
+go build -o "$check" ./cmd/charnet-check
+
+echo "== trace smoke (charnet -trace-out + charnet-check trace + stdout equivalence)"
 tracedir="$workdir/trace"
 mkdir -p "$tracedir"
 go run ./cmd/charnet -trace-out "$tracedir/trace.json" table4 > "$tracedir/traced.txt" 2> "$tracedir/profile.txt"
@@ -118,15 +129,14 @@ if ! cmp -s "$tracedir/traced.txt" "$tracedir/plain.txt"; then
     diff "$tracedir/plain.txt" "$tracedir/traced.txt" >&2 || true
     exit 1
 fi
-go run ./cmd/tracecheck "$tracedir/trace.json"
+"$check" trace "$tracedir/trace.json"
 grep -q "self-profile" "$tracedir/profile.txt" || {
     echo "missing self-profile on stderr" >&2; exit 1; }
 
-echo "== telemetry smoke (live /metrics mid-run + metricscheck + stdout equivalence)"
+echo "== telemetry smoke (live /metrics mid-run + charnet-check metrics + stdout equivalence)"
 teledir="$workdir/telemetry"
 mkdir -p "$teledir"
 go build -o "$teledir/charnet" ./cmd/charnet
-go build -o "$teledir/metricscheck" ./cmd/metricscheck
 "$teledir/charnet" -telemetry-addr 127.0.0.1:0 -telemetry-out "$teledir/telemetry.json" \
     -cache "$teledir/mstore" table4 > "$teledir/traced.txt" 2> "$teledir/stderr.txt" &
 telepid=$!
@@ -141,8 +151,9 @@ if [[ -z "$teleaddr" ]]; then
     cat "$teledir/stderr.txt" >&2
     exit 1
 fi
-"$teledir/metricscheck" -url "http://$teleaddr/metrics" -retries 200 -interval 25ms \
-    -want charnet_measure_latency_seconds,charnet_sim_workload_latency_seconds,charnet_pool_queue_wait_seconds,charnet_sim_phase_run_seconds,charnet_mstore_get_miss_latency_seconds
+"$check" metrics \
+    -want charnet_measure_latency_seconds,charnet_sim_workload_latency_seconds,charnet_pool_queue_wait_seconds,charnet_sim_phase_run_seconds,charnet_mstore_get_miss_latency_seconds \
+    "http://$teleaddr/metrics"
 wait "$telepid"
 "$teledir/charnet" -cache "$teledir/mstore" table4 > "$teledir/plain.txt"
 if ! cmp -s "$teledir/traced.txt" "$teledir/plain.txt"; then
@@ -153,11 +164,10 @@ fi
 grep -q '"name": "telemetry"' "$teledir/telemetry.json" || {
     echo "telemetry run-report artifact missing" >&2; exit 1; }
 
-echo "== render smoke (-full all cold and warm vs docs/full_output.txt, then -format json | artifactcheck)"
+echo "== render smoke (-full all cold and warm vs docs/full_output.txt, then -format json | charnet-check artifact)"
 renderdir="$workdir/render"
 mkdir -p "$renderdir"
 go build -o "$renderdir/charnet" ./cmd/charnet
-go build -o "$renderdir/artifactcheck" ./cmd/artifactcheck
 for pass in cold warm; do
     "$renderdir/charnet" -full -cache "$renderdir/mstore" all > "$renderdir/full-$pass.txt"
     if ! cmp -s "$renderdir/full-$pass.txt" docs/full_output.txt; then
@@ -167,20 +177,20 @@ for pass in cold warm; do
     fi
 done
 "$renderdir/charnet" -full -cache "$renderdir/mstore" -format json all > "$renderdir/full.json"
-"$renderdir/artifactcheck" < "$renderdir/full.json"
+"$check" artifact "$renderdir/full.json"
 
-echo "== spec smoke (artifactcheck -spec examples/*.json, then -suite-spec through table4)"
+echo "== spec smoke (charnet -suite-spec examples/*.json suites, then -suite-spec through table4)"
 specdir="$workdir/spec"
 mkdir -p "$specdir"
 for f in examples/*.json; do
-    "$renderdir/artifactcheck" -spec "$f"
+    "$renderdir/charnet" -suite-spec "$f" suites > /dev/null
 done
 "$renderdir/charnet" -suite-spec examples/spec2017mem.json -cache "$specdir/mstore" table4 \
     > "$specdir/table4.txt"
 grep -q "SPEC CPU17 mem" "$specdir/table4.txt" || {
     echo "external suite column missing from table4 text rendering" >&2; exit 1; }
 "$renderdir/charnet" -suite-spec examples/spec2017mem.json -cache "$specdir/mstore" \
-    -format json table4 | "$renderdir/artifactcheck"
+    -format json table4 | "$check" artifact
 
 echo "== daemon smoke (charnetd serve + measure vs export + /metrics scrape + graceful SIGTERM)"
 daemondir="$workdir/daemon"
@@ -201,16 +211,17 @@ if [[ -z "$daemonaddr" ]]; then
 fi
 curl -fsS -X POST -H 'Content-Type: application/json' -d '{"suite":"aspnet"}' \
     "http://$daemonaddr/v1/measure" > "$daemondir/measure.json"
-"$renderdir/artifactcheck" < "$daemondir/measure.json"
+"$check" artifact "$daemondir/measure.json"
 "$renderdir/charnet" -format json export aspnet > "$daemondir/export.json"
-"$renderdir/artifactcheck" < "$daemondir/export.json"
+"$check" artifact "$daemondir/export.json"
 if ! cmp -s "$daemondir/measure.json" "$daemondir/export.json"; then
     echo "charnet export and charnetd /v1/measure emit different bytes for aspnet:" >&2
     diff "$daemondir/measure.json" "$daemondir/export.json" | head -20 >&2 || true
     exit 1
 fi
-"$teledir/metricscheck" -url "http://$daemonaddr/metrics" -retries 200 -interval 25ms \
-    -want charnet_serve_request_latency_seconds,charnet_serve_queue_wait_seconds,charnet_measure_latency_seconds
+"$check" metrics \
+    -want charnet_serve_request_latency_seconds,charnet_serve_queue_wait_seconds,charnet_measure_latency_seconds \
+    "http://$daemonaddr/metrics"
 kill -TERM "$daemonpid"
 if ! wait "$daemonpid"; then
     echo "charnetd did not exit cleanly on SIGTERM:" >&2
