@@ -22,6 +22,15 @@ import (
 	"repro/internal/workload"
 )
 
+// builtin returns a built-in suite by wire name.
+func builtin(wire string) *workload.SuiteDef {
+	def, ok := workload.Builtin().Lookup(wire)
+	if !ok {
+		panic("no built-in suite " + wire)
+	}
+	return def
+}
+
 // benchCfg is the fidelity used by the per-figure benchmarks: high enough
 // to exercise the full pipeline, low enough that every figure regenerates
 // in seconds.
@@ -94,7 +103,7 @@ func BenchmarkFigure14(b *testing.B) { benchFigure(b, experiments.Figure14) }
 // BenchmarkSimulatorThroughput measures raw engine speed in instructions
 // per second for a representative managed workload.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	p, _ := workload.ByName(workload.DotNetCategories(), "System.Runtime")
+	p, _ := builtin("dotnet").Lookup("System.Runtime")
 	m := machine.CoreI9()
 	const instr = 50_000
 	b.SetBytes(instr) // report "bytes" as instructions for MB/s ~ MIPS
@@ -109,7 +118,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // BenchmarkMeasureSuite measures the parallel suite-measurement harness
 // over the 44 .NET categories.
 func BenchmarkMeasureSuite(b *testing.B) {
-	cats := workload.DotNetCategories()
+	cats := builtin("dotnet").Profiles()
 	m := machine.CoreI9()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -128,7 +137,7 @@ var ablationMeasurements []core.Measurement
 func ablationMs(b *testing.B) []core.Measurement {
 	if ablationMeasurements == nil {
 		ms, err := core.MeasureSuite(context.Background(), nil,
-			workload.DotNetCategories(), machine.CoreI9(), sim.Options{Instructions: 8000}, 0)
+			builtin("dotnet").Profiles(), machine.CoreI9(), sim.Options{Instructions: 8000}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +182,7 @@ func BenchmarkAblationTopPCs(b *testing.B) {
 
 // BenchmarkAblationReplacement compares LRU vs random cache replacement.
 func BenchmarkAblationReplacement(b *testing.B) {
-	p, _ := workload.ByName(workload.SpecWorkloads(), "omnetpp")
+	p, _ := builtin("spec").Lookup("omnetpp")
 	m := machine.CoreI9()
 	for name, pol := range map[string]mem.ReplacementPolicy{"lru": mem.LRU, "random": mem.Random} {
 		b.Run(name, func(b *testing.B) {
@@ -191,7 +200,7 @@ func BenchmarkAblationReplacement(b *testing.B) {
 // BenchmarkAblationGCCompaction isolates the locality benefit of heap
 // compaction behind the paper's GC findings.
 func BenchmarkAblationGCCompaction(b *testing.B) {
-	p, _ := workload.ByName(workload.DotNetCategories(), "System.Collections")
+	p, _ := builtin("dotnet").Lookup("System.Collections")
 	m := machine.CoreI9()
 	for name, disable := range map[string]bool{"compaction-on": false, "compaction-off": true} {
 		b.Run(name, func(b *testing.B) {
@@ -212,7 +221,7 @@ func BenchmarkAblationGCCompaction(b *testing.B) {
 // BenchmarkAblationJITRelocation isolates the cold-start cost of JIT code
 // motion (§VII-A1).
 func BenchmarkAblationJITRelocation(b *testing.B) {
-	p, _ := workload.ByName(workload.AspNetWorkloads(), "Json")
+	p, _ := builtin("aspnet").Lookup("Json")
 	m := machine.CoreI9()
 	for name, disable := range map[string]bool{"relocation-on": false, "relocation-off": true} {
 		b.Run(name, func(b *testing.B) {

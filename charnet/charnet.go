@@ -17,7 +17,8 @@
 //
 // Quick start:
 //
-//	p, _ := charnet.WorkloadByName(charnet.DotNetCategories(), "System.Runtime")
+//	p, err := charnet.Workload("dotnet", "System.Runtime")
+//	if err != nil { ... }
 //	res, err := charnet.Run(p, charnet.CoreI9(), charnet.Options{})
 //	if err != nil { ... }
 //	vec, _ := charnet.Metrics(res)
@@ -26,6 +27,7 @@ package charnet
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/clr"
 	"repro/internal/cluster"
@@ -38,7 +40,7 @@ import (
 	"repro/internal/workload"
 )
 
-// Re-exported workload types and catalogs.
+// Re-exported workload types.
 type (
 	// Profile is the behavioral description of one workload.
 	Profile = workload.Profile
@@ -53,20 +55,41 @@ const (
 	SpecCPU17 = workload.SpecCPU17
 )
 
-// DotNetCategories returns the 44 .NET category archetypes (§II-A).
-func DotNetCategories() []Profile { return workload.DotNetCategories() }
+// Workloads returns a built-in suite's workloads in catalog order. The
+// suite is a wire name: "dotnet" (the 44 .NET categories, §II-A),
+// "dotnet-individual" (all 2906 .NET microbenchmarks), "aspnet" (the 53
+// ASP.NET benchmarks, §II-B) or "spec" (SPEC CPU17).
+func Workloads(suite string) ([]Profile, error) {
+	def, err := builtinSuite(suite)
+	if err != nil {
+		return nil, err
+	}
+	return def.Profiles(), nil
+}
 
-// DotNetWorkloads returns all 2906 individual .NET microbenchmarks.
-func DotNetWorkloads() []Profile { return workload.DotNetWorkloads() }
+// Workload returns one workload of a built-in suite by wire name and
+// workload name.
+func Workload(suite, name string) (Profile, error) {
+	def, err := builtinSuite(suite)
+	if err != nil {
+		return Profile{}, err
+	}
+	p, ok := def.Lookup(name)
+	if !ok {
+		return Profile{}, fmt.Errorf("charnet: suite %q has no workload %q", suite, name)
+	}
+	return p, nil
+}
 
-// AspNetWorkloads returns the 53 ASP.NET benchmarks (§II-B).
-func AspNetWorkloads() []Profile { return workload.AspNetWorkloads() }
-
-// SpecWorkloads returns the SPEC CPU17 catalog.
-func SpecWorkloads() []Profile { return workload.SpecWorkloads() }
-
-// WorkloadByName finds a profile by name.
-func WorkloadByName(ps []Profile, name string) (Profile, bool) { return workload.ByName(ps, name) }
+// builtinSuite resolves a built-in suite by wire name.
+func builtinSuite(wire string) (*workload.SuiteDef, error) {
+	reg := workload.Builtin()
+	def, ok := reg.Lookup(wire)
+	if !ok {
+		return nil, fmt.Errorf("charnet: unknown suite %q (want one of %v)", wire, reg.Names())
+	}
+	return def, nil
+}
 
 // Machine is a hardware platform model (Table II).
 type Machine = machine.Config

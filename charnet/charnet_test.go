@@ -1,18 +1,28 @@
 package charnet_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/charnet"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
-	// Catalogs.
-	if len(charnet.DotNetCategories()) != 44 {
-		t.Fatal("44 .NET categories expected")
+	// Catalogs, by wire name.
+	for suite, want := range map[string]int{"dotnet": 44, "aspnet": 53} {
+		ps, err := charnet.Workloads(suite)
+		if err != nil || len(ps) != want {
+			t.Fatalf("Workloads(%q) = %d workloads, %v; want %d", suite, len(ps), err, want)
+		}
 	}
-	if len(charnet.AspNetWorkloads()) != 53 {
-		t.Fatal("53 ASP.NET workloads expected")
+	if _, err := charnet.Workloads("nosuch"); err == nil || !strings.Contains(err.Error(), `"nosuch"`) {
+		t.Fatalf("Workloads of an unknown suite returned %v, want an error naming it", err)
+	}
+	if _, err := charnet.Workload("nosuch", "Json"); err == nil || !strings.Contains(err.Error(), `"nosuch"`) {
+		t.Fatalf("Workload of an unknown suite returned %v, want an error naming it", err)
+	}
+	if _, err := charnet.Workload("spec", "Json"); err == nil || !strings.Contains(err.Error(), `"Json"`) {
+		t.Fatalf("Workload of an unknown name returned %v, want an error naming it", err)
 	}
 	if len(charnet.Machines()) != 3 {
 		t.Fatal("3 machines expected")
@@ -22,9 +32,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Run one workload and pull metrics.
-	p, ok := charnet.WorkloadByName(charnet.DotNetCategories(), "System.Runtime")
-	if !ok {
-		t.Fatal("System.Runtime missing")
+	p, err := charnet.Workload("dotnet", "System.Runtime")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Name != "System.Runtime" || p.Suite != charnet.DotNet {
+		t.Fatalf("Workload returned %s of %s, want System.Runtime of .NET", p.Name, p.Suite)
 	}
 	res, err := charnet.Run(p, charnet.CoreI9(), charnet.Options{Instructions: 8000})
 	if err != nil {
@@ -39,7 +52,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Characterize a small suite and validate a subset across machines.
-	suite := charnet.DotNetCategories()[:8]
+	cats, err := charnet.Workloads("dotnet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite := cats[:8]
 	opts := charnet.Options{Instructions: 5000}
 	msA := charnet.MeasureSuite(suite, charnet.CoreI9(), opts)
 	msBase := charnet.MeasureSuite(suite, charnet.XeonE5(), opts)

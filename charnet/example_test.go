@@ -9,7 +9,10 @@ import (
 // Example_measure runs one workload and prints a few Table I metrics.
 // Everything is deterministic, so the output is stable.
 func Example_measure() {
-	p, _ := charnet.WorkloadByName(charnet.DotNetCategories(), "System.MathBenchmarks")
+	p, err := charnet.Workload("dotnet", "System.MathBenchmarks")
+	if err != nil {
+		panic(err)
+	}
 	res, err := charnet.Run(p, charnet.CoreI9(), charnet.Options{Instructions: 10000})
 	if err != nil {
 		panic(err)
@@ -29,7 +32,11 @@ func Example_measure() {
 
 // Example_subset derives a representative subset from a small suite slice.
 func Example_subset() {
-	suite := charnet.DotNetCategories()[:6]
+	cats, err := charnet.Workloads("dotnet")
+	if err != nil {
+		panic(err)
+	}
+	suite := cats[:6]
 	ms := charnet.MeasureSuite(suite, charnet.CoreI9(), charnet.Options{Instructions: 5000})
 	ch, err := charnet.Characterize(ms, 4, charnet.Average)
 	if err != nil {

@@ -262,17 +262,18 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "workload-spec JSON file (docs/WORKLOADS.md); it then flows through the")
 	fmt.Fprintln(os.Stderr, "characterization experiments and the utility commands below.")
 	fmt.Fprintln(os.Stderr, "\nutility commands (text-only, except export):")
-	fmt.Fprintln(os.Stderr, "  metrics     print the Table I metric catalog")
-	fmt.Fprintln(os.Stderr, "  machines    print the Table II machine models")
-	fmt.Fprintln(os.Stderr, "  suites      print the registered suites and the Table IV subsets")
-	fmt.Fprintln(os.Stderr, "  run NAME    run one workload on the i9 and print its metrics")
-	fmt.Fprintln(os.Stderr, "  trace NAME  run NAME with sampling and emit the sample CSV")
-	fmt.Fprintln(os.Stderr, "  export S    measure suite S (a wire name from `suites`) and emit its metric vectors in -format")
+	fmt.Fprintln(os.Stderr, "  metrics             print the Table I metric catalog")
+	fmt.Fprintln(os.Stderr, "  machines            print the Table II machine models")
+	fmt.Fprintln(os.Stderr, "  suites              print the registered suites and the Table IV subsets")
+	fmt.Fprintln(os.Stderr, "  run [SUITE] NAME    run one workload on the i9 and print its metrics")
+	fmt.Fprintln(os.Stderr, "  trace [SUITE] NAME  run the workload with sampling and emit the sample CSV")
+	fmt.Fprintln(os.Stderr, "  export S            measure suite S (a wire name from `suites`) and emit its metric vectors in -format")
+	fmt.Fprintln(os.Stderr, "SUITE is a wire name from `suites`; a NAME held by more than one suite needs it.")
 	fmt.Fprintln(os.Stderr, "\nexperiment commands (honor -format):")
 	for _, d := range experiments.Drivers() {
-		fmt.Fprintf(os.Stderr, "  %-11s %s\n", d.Name, d.Title)
+		fmt.Fprintf(os.Stderr, "  %-19s %s\n", d.Name, d.Title)
 	}
-	fmt.Fprintln(os.Stderr, "  all         every experiment above, in order")
+	fmt.Fprintln(os.Stderr, "  all                 every experiment above, in order")
 }
 
 // dispatch routes one command. Experiment commands resolve through the
@@ -287,16 +288,15 @@ func dispatch(ctx context.Context, lab *experiments.Lab, cmd string, args []stri
 		return inDriverSpan(lab, cmd, func() error { return printMachines(out) })
 	case "suites":
 		return inDriverSpan(lab, cmd, func() error { return printSuites(lab, out) })
-	case "run":
-		if len(args) < 1 {
-			return fmt.Errorf("run requires a workload name")
+	case "run", "trace":
+		p, err := findWorkload(lab, cmd, args)
+		if err != nil {
+			return err
 		}
-		return inDriverSpan(lab, cmd, func() error { return runOne(lab, args[0], out) })
-	case "trace":
-		if len(args) < 1 {
-			return fmt.Errorf("trace requires a workload name")
+		if cmd == "run" {
+			return inDriverSpan(lab, cmd, func() error { return runOne(lab, p, out) })
 		}
-		return inDriverSpan(lab, cmd, func() error { return traceOne(lab, args[0], out) })
+		return inDriverSpan(lab, cmd, func() error { return traceOne(lab, p, out) })
 	case "export":
 		if len(args) < 1 {
 			return fmt.Errorf("export requires a suite: one of %v", lab.SuiteNames())
@@ -428,25 +428,48 @@ func printSuites(lab *experiments.Lab, out io.Writer) error {
 	return err
 }
 
-// findWorkload resolves a workload name across every suite the Lab's
-// registry knows, in registration order (built-ins first, then any
-// -suite-spec externals).
-func findWorkload(lab *experiments.Lab, name string) (charnet.Profile, bool) {
-	for _, def := range lab.Suites() {
-		if p, ok := def.Lookup(name); ok {
-			return p, true
+// findWorkload resolves the `[SUITE] NAME` arguments of run and trace
+// through the Lab's registry. With a suite, the name resolves in that
+// suite. A bare name must be held by exactly one registered suite: "Json"
+// is both a .NET category and an ASP.NET benchmark, and picking one
+// silently would run the wrong workload.
+func findWorkload(lab *experiments.Lab, cmd string, args []string) (charnet.Profile, error) {
+	switch len(args) {
+	case 1:
+		name := args[0]
+		var p charnet.Profile
+		var holders []string
+		for _, def := range lab.Suites() {
+			if q, ok := def.Lookup(name); ok {
+				p = q
+				holders = append(holders, def.Wire)
+			}
 		}
+		switch len(holders) {
+		case 0:
+			return p, fmt.Errorf("workload %q not found in any suite", name)
+		case 1:
+			return p, nil
+		}
+		return charnet.Profile{}, fmt.Errorf("workload %q is in suites %s: name one, as in %q",
+			name, strings.Join(holders, ", "), cmd+" "+holders[0]+" "+name)
+	case 2:
+		def, ok := lab.Suite(args[0])
+		if !ok {
+			return charnet.Profile{}, fmt.Errorf("unknown suite %q (want one of %v)", args[0], lab.SuiteNames())
+		}
+		p, ok := def.Lookup(args[1])
+		if !ok {
+			return p, fmt.Errorf("suite %q has no workload %q", args[0], args[1])
+		}
+		return p, nil
 	}
-	return charnet.Profile{}, false
+	return charnet.Profile{}, fmt.Errorf("%s takes [SUITE] NAME, got %d arguments", cmd, len(args))
 }
 
 // traceOne runs a workload with periodic sampling and emits the sample
 // time series as CSV (the §VII-A correlation study's raw data).
-func traceOne(lab *experiments.Lab, name string, out io.Writer) error {
-	p, ok := findWorkload(lab, name)
-	if !ok {
-		return fmt.Errorf("workload %q not found in any suite", name)
-	}
+func traceOne(lab *experiments.Lab, p charnet.Profile, out io.Writer) error {
 	res, err := charnet.Run(p, charnet.CoreI9(), charnet.Options{
 		Instructions:   lab.Cfg.Instructions * 4,
 		SampleInterval: lab.Cfg.SampleInterval,
@@ -502,11 +525,7 @@ func exportSuite(ctx context.Context, lab *experiments.Lab, suiteName, format st
 	return writeArtifact(out, format, experiments.MeasureArtifact(suiteName, m, ms))
 }
 
-func runOne(lab *experiments.Lab, name string, out io.Writer) error {
-	p, ok := findWorkload(lab, name)
-	if !ok {
-		return fmt.Errorf("workload %q not found in any suite", name)
-	}
+func runOne(lab *experiments.Lab, p charnet.Profile, out io.Writer) error {
 	res, err := charnet.Run(p, charnet.CoreI9(), charnet.Options{Instructions: lab.Cfg.Instructions * 4})
 	if err != nil {
 		return err

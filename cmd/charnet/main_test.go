@@ -52,6 +52,22 @@ func TestDispatchRun(t *testing.T) {
 	if err := run(lab, "run", []string{"NoSuchWorkload"}); err == nil {
 		t.Fatal("unknown workload should fail")
 	}
+	// A unique name needs no suite; a name two suites hold does.
+	for _, args := range [][]string{{"Plaintext"}, {"aspnet", "Json"}} {
+		if err := run(lab, "run", args); err != nil {
+			t.Fatalf("run %v: %v", args, err)
+		}
+	}
+	err := run(lab, "run", []string{"Json"})
+	if err == nil || !strings.Contains(err.Error(), "dotnet") || !strings.Contains(err.Error(), "aspnet") ||
+		!strings.Contains(err.Error(), "run dotnet Json") {
+		t.Fatalf("bare run Json returned %v, want an error naming dotnet and aspnet and the qualified form", err)
+	}
+	for _, args := range [][]string{{"nosuch", "Json"}, {"spec", "Json"}, {"aspnet", "Json", "extra"}} {
+		if err := run(lab, "run", args); err == nil {
+			t.Fatalf("run %v should fail", args)
+		}
+	}
 }
 
 func TestDispatchUnknown(t *testing.T) {
@@ -171,21 +187,33 @@ func TestExportMatchesMeasure(t *testing.T) {
 }
 
 // TestDispatchTrace: trace emits a header plus one CSV row per sample
-// bin of the workload's sampled run.
+// bin of the named suite's workload: `trace aspnet Json` is the 16-core
+// ASP.NET service, not the .NET category of the same name.
 func TestDispatchTrace(t *testing.T) {
 	lab := tinyLab()
 	var out bytes.Buffer
-	if err := dispatch(context.Background(), lab, "trace", []string{"Json"}, "text", &out); err != nil {
+	if err := dispatch(context.Background(), lab, "trace", []string{"aspnet", "Json"}, "text", &out); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := csv.NewReader(&out).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _ := findWorkload(lab, "Json")
+	def, _ := lab.Suite("aspnet")
+	p, _ := def.Lookup("Json")
 	res, err := charnet.Run(p, charnet.CoreI9(), charnet.Options{
 		Instructions: lab.Cfg.Instructions * 4, SampleInterval: lab.Cfg.SampleInterval, AllocScale: 3000,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cores != 16 {
+		t.Fatalf("aspnet Json ran on %d cores, want 16", res.Cores)
+	}
+	var want bytes.Buffer
+	if err := writeSamplesCSV(&want, res.Samples); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want.Bytes()) {
+		t.Fatal("trace aspnet Json emitted samples of a different run")
+	}
+	rows, err := csv.NewReader(&out).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}

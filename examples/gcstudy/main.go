@@ -25,9 +25,9 @@ func main() {
 	heapsMiB := []int64{200, 2000, 20000}
 
 	for _, name := range names {
-		p, ok := charnet.WorkloadByName(charnet.DotNetCategories(), name)
-		if !ok {
-			log.Fatalf("%s not found", name)
+		p, err := charnet.Workload("dotnet", name)
+		if err != nil {
+			log.Fatal(err)
 		}
 		fmt.Printf("%s\n", name)
 		fmt.Printf("  %-12s %-9s %12s %12s %12s\n", "gc mode", "heap MiB", "GC PKI", "LLC MPKI", "rel. time")

@@ -16,9 +16,9 @@ import (
 func main() {
 	// Pick a workload from the .NET suite (the paper's Table IV set
 	// includes System.Runtime as a representative category).
-	p, ok := charnet.WorkloadByName(charnet.DotNetCategories(), "System.Runtime")
-	if !ok {
-		log.Fatal("System.Runtime not in the catalog")
+	p, err := charnet.Workload("dotnet", "System.Runtime")
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Run it on the Intel Core i9-9980XE model. Options{} uses defaults:

@@ -20,9 +20,9 @@ func main() {
 	cores := []int{1, 2, 4, 8, 16}
 
 	for _, name := range names {
-		p, ok := charnet.WorkloadByName(charnet.AspNetWorkloads(), name)
-		if !ok {
-			log.Fatalf("%s not found", name)
+		p, err := charnet.Workload("aspnet", name)
+		if err != nil {
+			log.Fatal(err)
 		}
 		fmt.Printf("%s\n", name)
 		fmt.Printf("  %5s %8s %10s %12s %14s %14s\n",

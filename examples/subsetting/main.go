@@ -17,7 +17,10 @@ import (
 )
 
 func main() {
-	suite := charnet.DotNetCategories()
+	suite, err := charnet.Workloads("dotnet")
+	if err != nil {
+		log.Fatal(err)
+	}
 	opts := charnet.Options{Instructions: 20000}
 
 	fmt.Printf("measuring %d .NET categories on two machines...\n", len(suite))

@@ -20,7 +20,7 @@ func main() {
 	type study struct {
 		title    string
 		workload string
-		suite    []charnet.Profile
+		suite    string // wire name
 		opts     charnet.Options
 		assist   charnet.HWAssist
 		counters func(charnet.Counters) (string, float64)
@@ -34,7 +34,7 @@ func main() {
 		{
 			title:    "ISA hooks: prefetch JITed code pages (§VII-A1 cold starts)",
 			workload: "Json",
-			suite:    charnet.AspNetWorkloads(),
+			suite:    "aspnet",
 			opts:     coldASP,
 			assist:   charnet.HWAssist{JITCodePrefetch: true},
 			counters: func(c charnet.Counters) (string, float64) {
@@ -44,7 +44,7 @@ func main() {
 		{
 			title:    "ISA hooks: transform predictor state on relocation",
 			workload: "Json",
-			suite:    charnet.AspNetWorkloads(),
+			suite:    "aspnet",
 			opts: func() charnet.Options {
 				o := coldASP
 				o.TierUpCalls = 2
@@ -59,7 +59,7 @@ func main() {
 		{
 			title:    "hardware GC offload (keep locality, drop overhead)",
 			workload: "System.Collections",
-			suite:    charnet.DotNetCategories(),
+			suite:    "dotnet",
 			opts: charnet.Options{
 				Instructions: 80000, MaxHeapBytes: 200 << 20, AllocScale: 3000,
 			},
@@ -71,7 +71,7 @@ func main() {
 		{
 			title:    "hashed LLC slice placement (NoC contention)",
 			workload: "DbFortunesRaw",
-			suite:    charnet.AspNetWorkloads(),
+			suite:    "aspnet",
 			opts:     charnet.Options{Instructions: 25000, Cores: 16},
 			assist:   charnet.HWAssist{HashedSlicePlacement: true},
 			counters: func(c charnet.Counters) (string, float64) {
@@ -81,9 +81,9 @@ func main() {
 	}
 
 	for _, s := range studies {
-		p, ok := charnet.WorkloadByName(s.suite, s.workload)
-		if !ok {
-			log.Fatalf("%s not found", s.workload)
+		p, err := charnet.Workload(s.suite, s.workload)
+		if err != nil {
+			log.Fatal(err)
 		}
 		base, err := charnet.Run(p, charnet.CoreI9(), s.opts)
 		if err != nil {

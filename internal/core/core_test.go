@@ -13,6 +13,15 @@ import (
 	"repro/internal/workload"
 )
 
+// builtin returns a built-in suite by wire name.
+func builtin(wire string) *workload.SuiteDef {
+	def, ok := workload.Builtin().Lookup(wire)
+	if !ok {
+		panic("no built-in suite " + wire)
+	}
+	return def
+}
+
 // measure runs MeasureSuite uncached under a background context, which
 // cannot fail.
 func measure(t *testing.T, ps []workload.Profile, m *machine.Config, opts sim.Options, workers int) []Measurement {
@@ -27,7 +36,7 @@ func measure(t *testing.T, ps []workload.Profile, m *machine.Config, opts sim.Op
 // measureCats measures the first n .NET categories at low fidelity.
 func measureCats(t *testing.T, n int) []Measurement {
 	t.Helper()
-	cats := workload.DotNetCategories()
+	cats := builtin("dotnet").Profiles()
 	if n > len(cats) {
 		n = len(cats)
 	}
@@ -54,7 +63,7 @@ func TestMeasureSuiteOrderAndDeterminism(t *testing.T) {
 }
 
 func TestMeasureSuiteCapturesErrors(t *testing.T) {
-	p, _ := workload.ByName(workload.DotNetCategories(), "System.Collections")
+	p, _ := builtin("dotnet").Lookup("System.Collections")
 	p.WorkingSetBytes = 190 << 20
 	ms := measure(t, []workload.Profile{p}, machine.CoreI9(),
 		sim.Options{Instructions: 1000, MaxHeapBytes: 200 << 20}, 0)
@@ -121,7 +130,7 @@ func TestGroupPCA(t *testing.T) {
 
 func TestSpreadRatioSPECWider(t *testing.T) {
 	// §V-C: SPEC's control-flow spread exceeds the managed suites'.
-	specMs := measure(t, workload.SpecWorkloads()[:10], machine.CoreI9(), sim.Options{Instructions: 8000}, 0)
+	specMs := measure(t, builtin("spec").Profiles()[:10], machine.CoreI9(), sim.Options{Instructions: 8000}, 0)
 	dnMs := measureCats(t, 10)
 	specVs, _ := Vectors(specMs)
 	dnVs, _ := Vectors(dnMs)
@@ -136,7 +145,7 @@ func TestSpreadRatioSPECWider(t *testing.T) {
 
 func TestExecutionTimesAndValidationFlow(t *testing.T) {
 	// End-to-end §IV-C: measure on two machines, validate a subset.
-	cats := workload.DotNetCategories()[:8]
+	cats := builtin("dotnet").Profiles()[:8]
 	opts := sim.Options{Instructions: 6000}
 	base := measure(t, cats, machine.XeonE5(), opts, 0)
 	fast := measure(t, cats, machine.CoreI9(), opts, 0)
@@ -165,7 +174,7 @@ func TestExecutionTimesAndValidationFlow(t *testing.T) {
 }
 
 func TestMeasureRepeated(t *testing.T) {
-	p, _ := workload.ByName(workload.DotNetCategories(), "System.Runtime")
+	p, _ := builtin("dotnet").Lookup("System.Runtime")
 	rep, err := MeasureRepeated(p, machine.CoreI9(), sim.Options{Instructions: 40000}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +203,7 @@ func TestMeasureRepeated(t *testing.T) {
 }
 
 func TestMeasureRepeatedPropagatesErrors(t *testing.T) {
-	p, _ := workload.ByName(workload.DotNetCategories(), "System.Collections")
+	p, _ := builtin("dotnet").Lookup("System.Collections")
 	p.WorkingSetBytes = 190 << 20
 	_, err := MeasureRepeated(p, machine.CoreI9(), sim.Options{Instructions: 1000, MaxHeapBytes: 200 << 20}, 3)
 	if err == nil {
@@ -219,7 +228,7 @@ func TestMeasureSuiteCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cache := &fakeCache{}
-	ms, err := MeasureSuite(ctx, cache, workload.DotNetCategories()[:4],
+	ms, err := MeasureSuite(ctx, cache, builtin("dotnet").Profiles()[:4],
 		machine.CoreI9(), sim.Options{Instructions: 2000}, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -237,7 +246,7 @@ func TestMeasureSuiteCtxPreCancelled(t *testing.T) {
 // background context; the per-workload cancellation checks do not
 // perturb results.
 func TestMeasureSuiteCtxBackground(t *testing.T) {
-	ps := workload.DotNetCategories()[:4]
+	ps := builtin("dotnet").Profiles()[:4]
 	m := machine.CoreI9()
 	opts := sim.Options{Instructions: 2000}
 	ctx, cancel := context.WithCancel(context.Background())

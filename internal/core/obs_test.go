@@ -16,7 +16,7 @@ import (
 // span per workload (each with prewarm/run/derive children), reports pool
 // gauges, and returns measurements identical to an uninstrumented run.
 func TestMeasureSuiteObs(t *testing.T) {
-	ps := workload.DotNetCategories()[:8]
+	ps := builtin("dotnet").Profiles()[:8]
 	m := machine.CoreI9()
 	opts := sim.Options{Instructions: 3000}
 
@@ -65,7 +65,7 @@ func TestMeasureSuiteObs(t *testing.T) {
 // TestMeasureSuiteCachedWorkers: the workers parameter reaches the pool
 // and a warm cache answers without re-measuring.
 func TestMeasureSuiteCachedWorkers(t *testing.T) {
-	ps := workload.DotNetCategories()[:4]
+	ps := builtin("dotnet").Profiles()[:4]
 	m := machine.CoreI9()
 	opts := sim.Options{Instructions: 3000}
 	cache := &countingCache{}
@@ -111,15 +111,15 @@ func (c *countingCache) Put(ps []workload.Profile, m *machine.Config, opts sim.O
 // 16-core ASP.NET on the shared LLC, and a heap set-up failure.
 func TestMeasureSuiteWorkersMatchRun(t *testing.T) {
 	var ps []workload.Profile
-	ps = append(ps, workload.DotNetCategories()[:2]...)
-	ps = append(ps, workload.AspNetWorkloads()[0])
-	ps = append(ps, workload.SpecWorkloads()[:2]...)
-	oom, _ := workload.ByName(workload.DotNetCategories(), "System.Collections")
+	ps = append(ps, builtin("dotnet").Profiles()[:2]...)
+	ps = append(ps, builtin("aspnet").Profiles()[0])
+	ps = append(ps, builtin("spec").Profiles()[:2]...)
+	oom, _ := builtin("dotnet").Lookup("System.Collections")
 	oom.WorkingSetBytes = 190 << 20
 	ps = append(ps, oom)
-	ps = append(ps, workload.DotNetWorkloads()[:2]...)
-	ps = append(ps, workload.AspNetWorkloads()[1])
-	ps = append(ps, workload.SpecWorkloads()[2])
+	ps = append(ps, builtin("dotnet-individual").Profiles()[:2]...)
+	ps = append(ps, builtin("aspnet").Profiles()[1])
+	ps = append(ps, builtin("spec").Profiles()[2])
 	m := machine.CoreI9()
 	opts := sim.Options{Instructions: 1500, MaxHeapBytes: 200 << 20}
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/mstore"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // TestMeasureCancelMidFlight cancels a suite measurement while the
@@ -35,7 +34,8 @@ func TestMeasureCancelMidFlight(t *testing.T) {
 	lab.Store = store
 
 	m := machine.CoreI9()
-	ps := workload.DotNetCategories()
+	def, _ := lab.Suite("dotnet")
+	ps := def.Profiles()
 	opts := sim.Options{Instructions: cfg.Instructions}
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -40,7 +40,8 @@ func TestMeasureSingleflight(t *testing.T) {
 	counter := &countingCache{}
 	lab.Store = counter
 	m := machine.CoreI9()
-	ps := workload.DotNetCategories()[:4]
+	def, _ := lab.Suite("dotnet")
+	ps := def.Profiles()[:4]
 
 	const callers = 8
 	results := make([][]core.Measurement, callers)
@@ -79,7 +80,8 @@ func TestMeasureCancelledEvicted(t *testing.T) {
 	counter := &countingCache{}
 	lab.Store = counter
 	m := machine.CoreI9()
-	ps := workload.DotNetCategories()[:4]
+	def, _ := lab.Suite("dotnet")
+	ps := def.Profiles()[:4]
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

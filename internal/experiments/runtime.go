@@ -12,7 +12,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // Figure13Result reproduces Figs 13a/13b: Pearson correlations of JIT and
@@ -50,12 +49,12 @@ func Figure13(ctx context.Context, l *Lab) (*Figure13Result, error) {
 	if l.Cfg.Instructions <= 8000 {
 		names = names[:3]
 	}
-	all := workload.AspNetWorkloads()
-	for _, name := range names {
-		p, ok := workload.ByName(all, name)
-		if !ok {
-			continue
-		}
+	ps, err := l.workloads("aspnet", names)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range ps {
+		name := p.Name
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -98,9 +97,6 @@ func Figure13(ctx context.Context, l *Lab) (*Figure13Result, error) {
 		}
 		out.GC[name] = corMap(gcCors)
 		out.GCRank[name] = rankMap(gcCors)
-	}
-	if len(out.JIT) == 0 {
-		return nil, fmt.Errorf("experiments: figure 13 collected nothing")
 	}
 	return out, nil
 }
@@ -246,14 +242,14 @@ func Figure14(ctx context.Context, l *Lab) (*Figure14Result, error) {
 	if l.Cfg.Instructions <= 8000 {
 		names = []string{"System.Runtime", "System.Linq", "System.MathBenchmarks"}
 	}
-	cats := workload.DotNetCategories()
+	ps, err := l.workloads("dotnet", names)
+	if err != nil {
+		return nil, err
+	}
 
 	var gcRatios, llcRatios, speedups []float64
-	for _, name := range names {
-		p, ok := workload.ByName(cats, name)
-		if !ok {
-			continue
-		}
+	for _, p := range ps {
+		name := p.Name
 		var cells []GCConfigResult
 		for _, mode := range []clr.GCMode{clr.Workstation, clr.Server} {
 			for _, heapMiB := range figure14Heaps {
@@ -323,9 +319,6 @@ func Figure14(ctx context.Context, l *Lab) (*Figure14Result, error) {
 			cells[i].Relative.Seconds = ratio(cells[i].Seconds, base.Seconds)
 		}
 		out.Cells[name] = cells
-	}
-	if len(out.Cells) == 0 {
-		return nil, fmt.Errorf("experiments: figure 14 collected nothing")
 	}
 	out.ServerOverWorkstationGC = stats.GeoMean(gcRatios)
 	out.ServerOverWorkstationLLC = stats.GeoMean(llcRatios)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // SensitivityRow records whether the headline orderings hold under one
@@ -59,22 +58,18 @@ func sensitivityConfigs(base uint64) []struct {
 // Sensitivity runs the robustness sweep over the Table IV subsets.
 func Sensitivity(ctx context.Context, l *Lab) (*SensitivityResult, error) {
 	m := machine.CoreI9()
-	dnAll := workload.DotNetCategories()
-	aspAll := workload.AspNetWorkloads()
-	specAll := workload.SpecWorkloads()
-
-	pick := func(all []workload.Profile, names []string) []workload.Profile {
-		var out []workload.Profile
-		for _, n := range names {
-			if p, ok := workload.ByName(all, n); ok {
-				out = append(out, p)
-			}
-		}
-		return out
+	dn, err := l.workloads("dotnet", TableIVDotNetSubset)
+	if err != nil {
+		return nil, err
 	}
-	dn := pick(dnAll, TableIVDotNetSubset)
-	asp := pick(aspAll, TableIVAspNetSubset)
-	spec := pick(specAll, TableIVSpecSubset)
+	asp, err := l.workloads("aspnet", TableIVAspNetSubset)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := l.workloads("spec", TableIVSpecSubset)
+	if err != nil {
+		return nil, err
+	}
 
 	out := &SensitivityResult{}
 	for _, cfg := range sensitivityConfigs(l.Cfg.Instructions) {

@@ -63,6 +63,25 @@ func (l *Lab) lookup(suite string) (*workload.SuiteDef, error) {
 	return def, nil
 }
 
+// workloads resolves named workloads of a registered suite, in the order
+// given. A name the suite does not hold is an error: a driver that asks
+// for a workload must not quietly measure fewer.
+func (l *Lab) workloads(suite string, names []string) ([]workload.Profile, error) {
+	def, err := l.lookup(suite)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]workload.Profile, len(names))
+	for i, name := range names {
+		p, ok := def.Lookup(name)
+		if !ok {
+			return nil, fmt.Errorf("suite %q has no workload %q", suite, name)
+		}
+		out[i] = p
+	}
+	return out, nil
+}
+
 // FilterMeasurements returns the measurements for the named workloads, in
 // the given order, skipping names the suite does not contain: the Table
 // IV drivers' subset selection, and serving requests that ask for

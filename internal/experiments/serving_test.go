@@ -33,6 +33,36 @@ func TestMeasureSuiteByNameRoutes(t *testing.T) {
 	}
 }
 
+// TestWorkloadsResolvesInOrder: the drivers' resolver returns the named
+// workloads in the order asked, each the suite's own profile, and fails
+// on a name the suite lacks or a suite the registry lacks.
+func TestWorkloadsResolvesInOrder(t *testing.T) {
+	lab := NewLab(Config{Instructions: 2000})
+	names := []string{"Plaintext", "Json", "DbFortunesRaw"}
+	ps, err := lab.workloads("aspnet", names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, _ := lab.Suite("aspnet")
+	if len(ps) != len(names) {
+		t.Fatalf("%d workloads for %d names", len(ps), len(names))
+	}
+	for i, name := range names {
+		if want, _ := def.Lookup(name); ps[i] != want {
+			t.Errorf("workload %d is %q, want aspnet's %q", i, ps[i].Name, name)
+		}
+	}
+
+	_, err = lab.workloads("aspnet", []string{"Json", "System.Runtime"})
+	if err == nil || !strings.Contains(err.Error(), `"aspnet"`) || !strings.Contains(err.Error(), `"System.Runtime"`) {
+		t.Errorf("missing workload returned %v, want an error naming aspnet and System.Runtime", err)
+	}
+	_, want := lab.lookup("nope")
+	if _, err := lab.workloads("nope", names); err == nil || err.Error() != want.Error() {
+		t.Errorf("unknown suite returned %v, want %v", err, want)
+	}
+}
+
 // TestFilterMeasurements: order follows the request, unknown names skip.
 func TestFilterMeasurements(t *testing.T) {
 	lab := NewLab(Config{Instructions: 2000})

@@ -10,7 +10,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topdown"
-	"repro/internal/workload"
 )
 
 // TopDownRow is one benchmark's Top-Down profile.
@@ -221,12 +220,11 @@ func (l *Lab) aspNetScaling(ctx context.Context) (*scalingSweep, error) {
 		if len(names) > 4 && l.Cfg.Instructions <= 8000 {
 			names = names[:4] // quick mode: a representative half
 		}
-		all := workload.AspNetWorkloads()
-		for _, name := range names {
-			p, ok := workload.ByName(all, name)
-			if !ok {
-				continue
-			}
+		ps, err := l.workloads("aspnet", names)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range ps {
 			for _, cores := range l.Cfg.CoreSweep {
 				if err := ctx.Err(); err != nil {
 					return nil, err
@@ -241,10 +239,10 @@ func (l *Lab) aspNetScaling(ctx context.Context) (*scalingSweep, error) {
 				})
 				wspan.End()
 				if err != nil {
-					return nil, fmt.Errorf("experiments: figure 11 %s@%d: %w", name, cores, err)
+					return nil, fmt.Errorf("experiments: figure 11 %s@%d: %w", p.Name, cores, err)
 				}
 				out.Points = append(out.Points, ScalingPoint{
-					Name:    name,
+					Name:    p.Name,
 					Cores:   cores,
 					Profile: res.Profile,
 					LLCMPKI: res.Counters.MPKI(res.Counters.L3Misses),

@@ -89,7 +89,7 @@ func checkWords[T any](t *testing.T, ws []word[T]) {
 // dotnet-individual entry: the base64 and record decoding plus the
 // re-derivation of every measurement.
 func BenchmarkGet(b *testing.B) {
-	all := workload.DotNetWorkloads()
+	all := builtin("dotnet-individual").Profiles()
 	ps := make([]workload.Profile, 220)
 	for i := range ps {
 		ps[i] = all[i*(len(all)/len(ps))]

@@ -27,7 +27,8 @@ func TestSpecDigestChild(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := sim.Options{Instructions: 5000}
-	for _, ps := range [][]workload.Profile{def.Profiles(), workload.DotNetWorkloads()} {
+	ind, _ := workload.Builtin().Lookup("dotnet-individual")
+	for _, ps := range [][]workload.Profile{def.Profiles(), ind.Profiles()} {
 		key, err := mstore.Key(ps, machine.CoreI9(), opts)
 		if err != nil {
 			t.Fatal(err)

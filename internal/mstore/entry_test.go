@@ -24,7 +24,7 @@ import (
 // FuzzGet: two workloads, so an entry is small enough to fuzz quickly,
 // sampled so that the measured one's record holds samples.
 func entryInputs() ([]workload.Profile, *machine.Config, sim.Options) {
-	return workload.DotNetCategories()[:2], machine.CoreI9(), sim.Options{Instructions: 3000, SampleInterval: 2000}
+	return builtin("dotnet").Profiles()[:2], machine.CoreI9(), sim.Options{Instructions: 3000, SampleInterval: 2000}
 }
 
 // entryShape is one entry file body for entryInputs and whether Get

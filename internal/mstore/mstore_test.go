@@ -21,8 +21,17 @@ import (
 	"repro/internal/workload"
 )
 
+// builtin returns a built-in suite by wire name.
+func builtin(wire string) *workload.SuiteDef {
+	def, ok := workload.Builtin().Lookup(wire)
+	if !ok {
+		panic("no built-in suite " + wire)
+	}
+	return def
+}
+
 func testInputs() ([]workload.Profile, *machine.Config, sim.Options) {
-	ps := workload.DotNetCategories()[:6]
+	ps := builtin("dotnet").Profiles()[:6]
 	return ps, machine.CoreI9(), sim.Options{Instructions: 3000}
 }
 

@@ -9,6 +9,15 @@ import (
 	"repro/internal/workload"
 )
 
+// builtin returns a built-in suite by wire name.
+func builtin(wire string) *workload.SuiteDef {
+	def, ok := workload.Builtin().Lookup(wire)
+	if !ok {
+		panic("no built-in suite " + wire)
+	}
+	return def
+}
+
 func runOne(t *testing.T, p workload.Profile) metrics.Vector {
 	t.Helper()
 	res, err := sim.Run(p, machine.CoreI9(), sim.Options{Instructions: 30000})
@@ -23,7 +32,7 @@ func runOne(t *testing.T, p workload.Profile) metrics.Vector {
 }
 
 func TestNormalizeManaged(t *testing.T) {
-	p, _ := workload.ByName(workload.DotNetCategories(), "System.Linq")
+	p, _ := builtin("dotnet").Lookup("System.Linq")
 	// Partially cold so JIT events are guaranteed inside the window.
 	res, err := sim.Run(p, machine.CoreI9(), sim.Options{Instructions: 30000, PrecompiledFrac: 0.8})
 	if err != nil {
@@ -58,7 +67,7 @@ func TestNormalizeManaged(t *testing.T) {
 }
 
 func TestNormalizeNativeHasNoRuntimeEvents(t *testing.T) {
-	p, _ := workload.ByName(workload.SpecWorkloads(), "omnetpp")
+	p, _ := builtin("spec").Lookup("omnetpp")
 	v := runOne(t, p)
 	for _, id := range metrics.RuntimeIDs() {
 		if v[id] != 0 {
@@ -75,7 +84,7 @@ func TestNormalizeRejectsEmptyRun(t *testing.T) {
 }
 
 func TestCPUUsage(t *testing.T) {
-	p, _ := workload.ByName(workload.AspNetWorkloads(), "Plaintext")
+	p, _ := builtin("aspnet").Lookup("Plaintext")
 	res, err := sim.Run(p, machine.CoreI9(), sim.Options{Instructions: 10000, Cores: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +101,7 @@ func TestCPUUsage(t *testing.T) {
 		t.Fatalf("16-core ASP.NET run should show high CPU usage, got %v", v[metrics.CPUUsage])
 	}
 	// A single-core microbenchmark on an 18-vCPU machine uses few of them.
-	mp, _ := workload.ByName(workload.DotNetCategories(), "System.Runtime")
+	mp, _ := builtin("dotnet").Lookup("System.Runtime")
 	mv := runOne(t, mp)
 	if mv[metrics.CPUUsage] >= v[metrics.CPUUsage] {
 		t.Fatal("single-core run should show lower machine-wide CPU usage")
@@ -102,11 +111,11 @@ func TestCPUUsage(t *testing.T) {
 func TestVectorsValidateAcrossSuites(t *testing.T) {
 	cases := []workload.Profile{}
 	for _, n := range []string{"System.Runtime", "System.MathBenchmarks"} {
-		p, _ := workload.ByName(workload.DotNetCategories(), n)
+		p, _ := builtin("dotnet").Lookup(n)
 		cases = append(cases, p)
 	}
 	for _, n := range []string{"mcf", "bwaves"} {
-		p, _ := workload.ByName(workload.SpecWorkloads(), n)
+		p, _ := builtin("spec").Lookup(n)
 		cases = append(cases, p)
 	}
 	for _, p := range cases {

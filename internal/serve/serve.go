@@ -86,9 +86,6 @@ type Config struct {
 	// Burst is the token-bucket capacity (default: RatePerSec rounded
 	// up, minimum 1) — only meaningful with RatePerSec > 0.
 	Burst int
-	// RetryAfter is the Retry-After hint attached to queue-full and
-	// draining shed responses. Default 1s.
-	RetryAfter time.Duration
 	// Info labels the run on /metrics and /infoz.
 	Info telemetry.Info
 }
@@ -104,11 +101,12 @@ func (c Config) withDefaults() Config {
 	if c.Burst <= 0 {
 		c.Burst = int(c.RatePerSec) + 1
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	return c
 }
+
+// retryAfter is the Retry-After hint attached to queue-full and draining
+// shed responses.
+const retryAfter = time.Second
 
 // Server is the measurement-serving daemon core. Create with New, serve
 // it as an http.Handler, and Close it to drain.
@@ -264,13 +262,13 @@ func (s *Server) enqueue(ctx context.Context, f func(ctx context.Context, lane i
 	if s.draining {
 		s.mu.Unlock()
 		s.tr.Add("serve.shed.draining", 1)
-		return nil, &shedError{status: http.StatusServiceUnavailable, retryAfter: s.cfg.RetryAfter,
+		return nil, &shedError{status: http.StatusServiceUnavailable, retryAfter: retryAfter,
 			reason: "server is draining"}
 	}
 	if s.queued >= s.cfg.QueueDepth {
 		s.mu.Unlock()
 		s.tr.Add("serve.shed.queue", 1)
-		return nil, &shedError{status: http.StatusServiceUnavailable, retryAfter: s.cfg.RetryAfter,
+		return nil, &shedError{status: http.StatusServiceUnavailable, retryAfter: retryAfter,
 			reason: "admission queue is full"}
 	}
 	s.queued++

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -493,8 +492,8 @@ func TestQueueFullSheds(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("saturated request: status %d, want 503: %s", resp.StatusCode, body)
 	}
-	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
-		t.Fatalf("saturated request Retry-After = %q, want a positive integer", resp.Header.Get("Retry-After"))
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("saturated request Retry-After = %q, want \"1\"", ra)
 	}
 	if tr.Counter("serve.shed.queue") != 1 {
 		t.Fatalf("serve.shed.queue = %d, want 1", tr.Counter("serve.shed.queue"))
@@ -783,7 +782,7 @@ func TestMeasureBodyTooLarge(t *testing.T) {
 // TestConfigDefaults pins the documented zero-value resolution.
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.Workers != 2 || cfg.QueueDepth != 64 || cfg.RetryAfter != time.Second {
+	if cfg.Workers != 2 || cfg.QueueDepth != 64 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	if cfg := (Config{RatePerSec: 2.5}).withDefaults(); cfg.Burst != 3 {

@@ -10,11 +10,16 @@ import (
 	"repro/internal/workload"
 )
 
-func mustByName(t *testing.T, ps []workload.Profile, name string) workload.Profile {
-	t.Helper()
-	p, ok := workload.ByName(ps, name)
+// mustByName resolves a built-in workload by suite wire name and name.
+func mustByName(tb testing.TB, wire, name string) workload.Profile {
+	tb.Helper()
+	def, ok := workload.Builtin().Lookup(wire)
 	if !ok {
-		t.Fatalf("workload %q not found", name)
+		tb.Fatalf("no built-in suite %q", wire)
+	}
+	p, ok := def.Lookup(name)
+	if !ok {
+		tb.Fatalf("suite %q has no workload %q", wire, name)
 	}
 	return p
 }
@@ -24,7 +29,7 @@ func TestRunValidatesInputs(t *testing.T) {
 	if _, err := Run(bad, machine.CoreI9(), Options{}); err == nil {
 		t.Fatal("invalid profile accepted")
 	}
-	p := mustByName(t, workload.SpecWorkloads(), "mcf")
+	p := mustByName(t, "spec", "mcf")
 	m := machine.CoreI9()
 	m.Cores = 0
 	if _, err := Run(p, m, Options{}); err == nil {
@@ -33,7 +38,7 @@ func TestRunValidatesInputs(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	p := mustByName(t, workload.DotNetCategories(), "System.Runtime")
+	p := mustByName(t, "dotnet", "System.Runtime")
 	a, err := Run(p, machine.CoreI9(), Options{Instructions: 20000})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +53,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestSeedSaltChangesRun(t *testing.T) {
-	p := mustByName(t, workload.DotNetCategories(), "System.Runtime")
+	p := mustByName(t, "dotnet", "System.Runtime")
 	a, _ := Run(p, machine.CoreI9(), Options{Instructions: 20000})
 	b, _ := Run(p, machine.CoreI9(), Options{Instructions: 20000, SeedSalt: 1})
 	if a.Counters == b.Counters {
@@ -57,7 +62,7 @@ func TestSeedSaltChangesRun(t *testing.T) {
 }
 
 func TestInstructionMixMatchesProfile(t *testing.T) {
-	p := mustByName(t, workload.SpecWorkloads(), "gcc")
+	p := mustByName(t, "spec", "gcc")
 	res, err := Run(p, machine.CoreI9(), Options{Instructions: 60000})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +79,7 @@ func TestInstructionMixMatchesProfile(t *testing.T) {
 }
 
 func TestKernelShareTracksProfile(t *testing.T) {
-	p := mustByName(t, workload.AspNetWorkloads(), "Plaintext")
+	p := mustByName(t, "aspnet", "Plaintext")
 	res, err := Run(p, machine.CoreI9(), Options{Instructions: 30000, Cores: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +100,8 @@ func TestSuiteLLCOrdering(t *testing.T) {
 		}
 		return res.Counters.MPKI(res.Counters.L3Misses)
 	}
-	micro := run(mustByName(t, workload.DotNetCategories(), "System.Runtime"), 1)
-	specBig := run(mustByName(t, workload.SpecWorkloads(), "mcf"), 1)
+	micro := run(mustByName(t, "dotnet", "System.Runtime"), 1)
+	specBig := run(mustByName(t, "spec", "mcf"), 1)
 	if specBig < micro*10 {
 		t.Fatalf("mcf LLC MPKI %.2f should dwarf System.Runtime's %.2f", specBig, micro)
 	}
@@ -106,7 +111,7 @@ func TestSuiteLLCOrdering(t *testing.T) {
 }
 
 func TestManagedRuntimeEventsPresent(t *testing.T) {
-	p := mustByName(t, workload.DotNetCategories(), "System.Linq")
+	p := mustByName(t, "dotnet", "System.Linq")
 	// A moderately cold process guarantees JIT activity inside the
 	// measured window (steady-state churn alone is probabilistic at this
 	// window size).
@@ -122,7 +127,7 @@ func TestManagedRuntimeEventsPresent(t *testing.T) {
 		t.Fatal("allocating workload produced no allocation ticks")
 	}
 	// Native workloads must have zero runtime events.
-	spec, err := Run(mustByName(t, workload.SpecWorkloads(), "mcf"), machine.CoreI9(), Options{Instructions: 20000})
+	spec, err := Run(mustByName(t, "spec", "mcf"), machine.CoreI9(), Options{Instructions: 20000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +139,7 @@ func TestManagedRuntimeEventsPresent(t *testing.T) {
 
 func TestGCModeTriggerRatio(t *testing.T) {
 	// §VII-B: server GC triggers several times more often (paper: 6.18x).
-	p := mustByName(t, workload.DotNetCategories(), "System.Collections")
+	p := mustByName(t, "dotnet", "System.Collections")
 	opts := Options{Instructions: 120000, MaxHeapBytes: 200 << 20, AllocScale: 2000}
 	opts.GCMode = clr.Workstation
 	ws, err := Run(p, machine.CoreI9(), opts)
@@ -158,7 +163,7 @@ func TestGCModeTriggerRatio(t *testing.T) {
 func TestServerGCImprovesLLC(t *testing.T) {
 	// §VII-A2/Fig 14: the more aggressive GC compacts more often, keeping
 	// the nursery window tight and cache-resident.
-	p := mustByName(t, workload.DotNetCategories(), "System.Collections")
+	p := mustByName(t, "dotnet", "System.Collections")
 	opts := Options{Instructions: 150000, MaxHeapBytes: 200 << 20, AllocScale: 2000}
 	opts.GCMode = clr.Workstation
 	ws, err := Run(p, machine.CoreI9(), opts)
@@ -178,7 +183,7 @@ func TestServerGCImprovesLLC(t *testing.T) {
 }
 
 func TestOOMPropagates(t *testing.T) {
-	p := mustByName(t, workload.DotNetCategories(), "System.Collections")
+	p := mustByName(t, "dotnet", "System.Collections")
 	p.WorkingSetBytes = 190 << 20
 	_, err := Run(p, machine.CoreI9(), Options{Instructions: 1000, MaxHeapBytes: 200 << 20})
 	if !errors.Is(err, clr.ErrOutOfMemory) {
@@ -189,7 +194,7 @@ func TestOOMPropagates(t *testing.T) {
 func TestCoreScalingBackendPressure(t *testing.T) {
 	// Figs 11-12: CPI and the L3-bound share grow with core count while
 	// per-core LLC MPKI stays in the same ballpark.
-	p := mustByName(t, workload.AspNetWorkloads(), "DbFortunesRaw")
+	p := mustByName(t, "aspnet", "DbFortunesRaw")
 	var cpis, l3bound, llc []float64
 	for _, cores := range []int{1, 4, 16} {
 		res, err := Run(p, machine.CoreI9(), Options{Instructions: 30000, Cores: cores})
@@ -214,7 +219,7 @@ func TestCoreScalingBackendPressure(t *testing.T) {
 func TestJITRelocationAblation(t *testing.T) {
 	// §VII-A1: disabling code relocation (the ablation) removes the cold
 	// start on tier-up, reducing I-side misses and page faults.
-	p := mustByName(t, workload.AspNetWorkloads(), "Json")
+	p := mustByName(t, "aspnet", "Json")
 	// Cold run: warmup would absorb the tier-ups whose relocation cost the
 	// ablation isolates.
 	// Fully cold process, aggressive tier-up: every hot method compiles
@@ -237,7 +242,7 @@ func TestJITRelocationAblation(t *testing.T) {
 
 func TestArmFrictionHurtsManagedITLB(t *testing.T) {
 	// §V-D: Arm's immature .NET stack shows far worse I-TLB behavior.
-	p := mustByName(t, workload.DotNetCategories(), "System.Runtime")
+	p := mustByName(t, "dotnet", "System.Runtime")
 	x86, err := Run(p, machine.CoreI9(), Options{Instructions: 40000})
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +259,7 @@ func TestArmFrictionHurtsManagedITLB(t *testing.T) {
 }
 
 func TestSamplesCollected(t *testing.T) {
-	p := mustByName(t, workload.AspNetWorkloads(), "Json")
+	p := mustByName(t, "aspnet", "Json")
 	res, err := Run(p, machine.CoreI9(), Options{Instructions: 40000, Cores: 2, SampleInterval: 2000})
 	if err != nil {
 		t.Fatal(err)
@@ -276,9 +281,9 @@ func TestSamplesCollected(t *testing.T) {
 
 func TestTopdownConsistency(t *testing.T) {
 	for _, p := range []workload.Profile{
-		mustByName(t, workload.DotNetCategories(), "System.Runtime"),
-		mustByName(t, workload.SpecWorkloads(), "bwaves"),
-		mustByName(t, workload.AspNetWorkloads(), "Plaintext"),
+		mustByName(t, "dotnet", "System.Runtime"),
+		mustByName(t, "spec", "bwaves"),
+		mustByName(t, "aspnet", "Plaintext"),
 	} {
 		res, err := Run(p, machine.CoreI9(), Options{Instructions: 20000, Cores: 2})
 		if err != nil {
@@ -294,7 +299,7 @@ func TestTopdownConsistency(t *testing.T) {
 func TestWarmupDiscard(t *testing.T) {
 	// With warmup the measured window should look steadier: fewer cold
 	// JIT compilations than a cold run of the same length.
-	p := mustByName(t, workload.DotNetCategories(), "System.Linq")
+	p := mustByName(t, "dotnet", "System.Linq")
 	warm, err := Run(p, machine.CoreI9(), Options{Instructions: 40000, PrecompiledFrac: 0.5})
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/machine"
-	"repro/internal/workload"
 )
 
 // goldenRuns is a fixed set of runs covering native and managed code, the
@@ -15,10 +14,10 @@ import (
 // sampling, each HWAssist flag and the Random replacement policy.
 func goldenRuns(t *testing.T) []reuseStep {
 	t.Helper()
-	runtimeP := mustByName(t, workload.DotNetCategories(), "System.Runtime")
-	aspnet := mustByName(t, workload.AspNetWorkloads(), "Json")
-	mcf := mustByName(t, workload.SpecWorkloads(), "mcf")
-	collections := mustByName(t, workload.DotNetCategories(), "System.Collections")
+	runtimeP := mustByName(t, "dotnet", "System.Runtime")
+	aspnet := mustByName(t, "aspnet", "Json")
+	mcf := mustByName(t, "spec", "mcf")
+	collections := mustByName(t, "dotnet", "System.Collections")
 	i9, arm := machine.CoreI9(), machine.Arm()
 	const n = 6000
 	// A cold process compiles and relocates methods during measurement,

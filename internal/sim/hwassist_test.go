@@ -34,7 +34,7 @@ func TestHWAssistAny(t *testing.T) {
 }
 
 func TestGCOffloadKeepsLocalityDropsOverhead(t *testing.T) {
-	p := mustByName(t, workload.DotNetCategories(), "System.Collections")
+	p := mustByName(t, "dotnet", "System.Collections")
 	opts := Options{Instructions: 100000, MaxHeapBytes: 200 << 20, AllocScale: 3000}
 	base, offl := baselineAndAssist(t, p, opts, HWAssist{GCOffload: true})
 
@@ -64,7 +64,7 @@ func TestGCOffloadKeepsLocalityDropsOverhead(t *testing.T) {
 }
 
 func TestJITCodePrefetchReducesColdMisses(t *testing.T) {
-	p := mustByName(t, workload.AspNetWorkloads(), "Json")
+	p := mustByName(t, "aspnet", "Json")
 	// Cold process, so measured compilations are plentiful.
 	opts := Options{
 		Instructions: 50000, Cores: 2,
@@ -84,7 +84,7 @@ func TestJITCodePrefetchReducesColdMisses(t *testing.T) {
 }
 
 func TestPredictorTransformReducesResteers(t *testing.T) {
-	p := mustByName(t, workload.AspNetWorkloads(), "Json")
+	p := mustByName(t, "aspnet", "Json")
 	// Heavy relocation churn so the transform has cold starts to remove.
 	opts := Options{
 		Instructions: 60000, Cores: 2,
@@ -102,7 +102,7 @@ func TestPredictorTransformReducesResteers(t *testing.T) {
 }
 
 func TestHashedPlacementFlattensHotSlices(t *testing.T) {
-	p := mustByName(t, workload.AspNetWorkloads(), "DbFortunesRaw")
+	p := mustByName(t, "aspnet", "DbFortunesRaw")
 	opts := Options{Instructions: 25000, Cores: 16}
 	base, hashed := baselineAndAssist(t, p, opts, HWAssist{HashedSlicePlacement: true})
 	// Hashing must not break correctness: similar LLC miss volume.
@@ -116,7 +116,7 @@ func TestHashedPlacementFlattensHotSlices(t *testing.T) {
 func TestHugePageCodeCollapsesITLBPressure(t *testing.T) {
 	// The assist matters most where the code footprint is sparse: the
 	// friction (Arm-like) platform with page-aligned JIT code.
-	p := mustByName(t, workload.DotNetCategories(), "CscBench")
+	p := mustByName(t, "dotnet", "CscBench")
 	opts := Options{Instructions: 40000}
 	base, err := Run(p, machine.Arm(), opts)
 	if err != nil {

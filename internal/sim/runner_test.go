@@ -26,10 +26,10 @@ type reuseStep struct {
 // no-compaction ablation and a heap set-up failure in the middle.
 func reuseSequence(t *testing.T) []reuseStep {
 	t.Helper()
-	runtimeP := mustByName(t, workload.DotNetCategories(), "System.Runtime")
-	json := mustByName(t, workload.AspNetWorkloads(), "Json")
-	mcf := mustByName(t, workload.SpecWorkloads(), "mcf")
-	oom := mustByName(t, workload.DotNetCategories(), "System.Collections")
+	runtimeP := mustByName(t, "dotnet", "System.Runtime")
+	json := mustByName(t, "aspnet", "Json")
+	mcf := mustByName(t, "spec", "mcf")
+	oom := mustByName(t, "dotnet", "System.Collections")
 	oom.WorkingSetBytes = 190 << 20
 	i9, xeon, arm := machine.CoreI9(), machine.XeonE5(), machine.Arm()
 	const n = 3000
@@ -102,7 +102,8 @@ func TestRunnerAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
 	}
-	p := workload.DotNetWorkloads()[0]
+	ind, _ := workload.Builtin().Lookup("dotnet-individual")
+	p, _ := ind.Lookup(ind.Name(0))
 	m := machine.CoreI9()
 	opts := Options{Instructions: 6000}
 	var r Runner

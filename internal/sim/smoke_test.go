@@ -13,15 +13,15 @@ func TestSmokeNumbers(t *testing.T) {
 	m := machine.CoreI9()
 	cases := []workload.Profile{}
 	for _, name := range []string{"System.Runtime", "System.MathBenchmarks", "System.Net", "CscBench"} {
-		p, _ := workload.ByName(workload.DotNetCategories(), name)
+		p := mustByName(t, "dotnet", name)
 		cases = append(cases, p)
 	}
 	for _, name := range []string{"Plaintext", "MvcDbFortunesRaw"} {
-		p, _ := workload.ByName(workload.AspNetWorkloads(), name)
+		p := mustByName(t, "aspnet", name)
 		cases = append(cases, p)
 	}
 	for _, name := range []string{"mcf", "bwaves", "gcc", "xalancbmk"} {
-		p, _ := workload.ByName(workload.SpecWorkloads(), name)
+		p := mustByName(t, "spec", name)
 		cases = append(cases, p)
 	}
 	for _, p := range cases {

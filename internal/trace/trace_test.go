@@ -10,7 +10,8 @@ import (
 
 func sampledRun(t *testing.T) []sim.Sample {
 	t.Helper()
-	p, ok := workload.ByName(workload.AspNetWorkloads(), "Json")
+	def, _ := workload.Builtin().Lookup("aspnet")
+	p, ok := def.Lookup("Json")
 	if !ok {
 		t.Fatal("Json not found")
 	}

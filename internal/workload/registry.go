@@ -126,9 +126,10 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// builtinSpecs holds the paper's suites as suite-spec documents. They
-// are data, not code: regenerated by TestRegenBuiltinSpecs from the
-// legacy tables and proven bit-identical by TestBuiltinSpecsBitIdentical.
+// builtinSpecs holds the paper's suites as suite-spec documents, the
+// one source of the built-in catalogs. TestBuiltinCatalogDigest pins
+// every field of every profile they generate, since each workload's
+// identity feeds its seed, the mstore keys and the benchmark digests.
 //
 //go:embed specs/*.json
 var builtinSpecs embed.FS
@@ -166,68 +167,4 @@ func Builtin() *Registry {
 		builtinReg = r
 	})
 	return builtinReg
-}
-
-// builtinProfiles returns a built-in suite's catalog by wire name.
-func builtinProfiles(wire string) []Profile {
-	def, ok := Builtin().Lookup(wire)
-	if !ok {
-		panic("workload: missing builtin suite " + wire)
-	}
-	return def.Profiles()
-}
-
-// DotNetCategoryCount is the number of .NET categories (44 in §II-A).
-const DotNetCategoryCount = 44
-
-// DotNetWorkloadCount is the number of individual .NET microbenchmarks
-// (2906 in §II-A).
-const DotNetWorkloadCount = 2906
-
-// AspNetWorkloadCount is the ASP.NET suite size (53 in §II-B).
-const AspNetWorkloadCount = 53
-
-// DotNetCategories returns the 44 category archetype profiles in
-// catalog order. These are what the paper analyzes "as a set of 44
-// categories": each archetype stands for running the whole category as
-// one process.
-func DotNetCategories() []Profile { return builtinProfiles("dotnet") }
-
-// DotNetWorkloads returns all 2906 individual microbenchmark profiles,
-// grouped by category in catalog order. Each is a seeded perturbation
-// of its category archetype, named after and nudged toward one of the
-// category's sub-benchmark families.
-func DotNetWorkloads() []Profile { return builtinProfiles("dotnet-individual") }
-
-// AspNetWorkloads returns all 53 ASP.NET benchmark profiles: the eight
-// Table IV representatives with hand-tuned deviations, plus 45 seeded
-// scenario variants.
-func AspNetWorkloads() []Profile { return builtinProfiles("aspnet") }
-
-// SpecWorkloads returns the SPEC CPU17 catalog: the Table IV eight plus
-// the rest of the speed suite, with per-benchmark parameters reflecting
-// their published characterizations (§V).
-func SpecWorkloads() []Profile { return builtinProfiles("spec") }
-
-// ByName finds a profile in a slice by name with a linear scan;
-// SuiteDef.Lookup answers from an index instead.
-func ByName(ps []Profile, name string) (Profile, bool) {
-	// Index rather than range by value: a Profile is a few hundred bytes.
-	for i := range ps {
-		if ps[i].Name == name {
-			return ps[i], true
-		}
-	}
-	return Profile{}, false
-}
-
-// FilterCategory returns the workloads of one .NET category.
-func FilterCategory(ps []Profile, category string) []Profile {
-	var out []Profile
-	for _, p := range ps {
-		if p.Category == category {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -14,10 +14,10 @@ import (
 // This file is the suite-spec engine: a declarative JSON format that
 // defines a whole benchmark suite as data — defaults, per-workload
 // parameter overrides, and seeded generator blocks — compiled by
-// ParseSpec into the same Profile values the old hard-coded Go tables
-// produced. The paper's three suites are themselves shipped as embedded
-// specs (see registry.go), proven bit-identical to the legacy tables by
-// TestBuiltinSpecsBitIdentical.
+// ParseSpec into Profile values. The paper's three suites are themselves
+// shipped as embedded specs (see registry.go), and
+// TestBuiltinCatalogDigest pins the profiles they compile to, bit for
+// bit.
 //
 // Determinism contract: everything a spec generates is a pure function
 // of the spec bytes. Generator blocks draw from an rng stream seeded
@@ -106,8 +106,7 @@ type Family struct {
 
 // Op is one field adjustment: cur = op(cur, value), optionally clamped.
 // "mul" multiplies, "add" adds, "set" replaces, "clamp" only clamps.
-// Integer fields truncate toward zero after the (float) arithmetic,
-// matching int(clamp(...)) in the legacy tables.
+// Integer fields truncate toward zero after the (float) arithmetic.
 type Op struct {
 	Field string      `json:"field"`
 	Op    string      `json:"op"`
@@ -115,10 +114,10 @@ type Op struct {
 	Clamp *[2]float64 `json:"clamp,omitempty"`
 }
 
-// SpecMeasurement is suite-level measurement policy, mirroring what the
-// experiments Lab hard-coded per legacy suite: sampled suites honor the
-// lab's individual-workload limit, and a nonzero divisor scales the
-// per-workload instruction budget (instructions/divisor + extra).
+// SpecMeasurement is suite-level measurement policy: sampled suites
+// honor the lab's individual-workload limit, and a nonzero divisor
+// scales the per-workload instruction budget (instructions/divisor +
+// extra).
 type SpecMeasurement struct {
 	InstructionsDivisor uint64 `json:"instructionsDivisor,omitempty"`
 	InstructionsExtra   uint64 `json:"instructionsExtra,omitempty"`
@@ -185,36 +184,6 @@ func (pp profileParams) profile(s Suite) Profile {
 	}
 }
 
-// paramsOf extracts the spec-settable parameters of a Profile (the
-// inverse of profile; used by the spec builders and regen tests).
-func paramsOf(p Profile) profileParams {
-	return profileParams{
-		BranchFrac:           p.BranchFrac,
-		LoadFrac:             p.LoadFrac,
-		StoreFrac:            p.StoreFrac,
-		KernelFrac:           p.KernelFrac,
-		CodeFootprintBytes:   p.CodeFootprintBytes,
-		MethodCount:          p.MethodCount,
-		MethodZipf:           p.MethodZipf,
-		CallEveryInstr:       p.CallEveryInstr,
-		BranchPredictability: p.BranchPredictability,
-		TakenFrac:            p.TakenFrac,
-		MicrocodeFrac:        p.MicrocodeFrac,
-		DivFrac:              p.DivFrac,
-		WorkingSetBytes:      p.WorkingSetBytes,
-		DataZipf:             p.DataZipf,
-		SequentialFrac:       p.SequentialFrac,
-		LocalFrac:            p.LocalFrac,
-		ILP:                  p.ILP,
-		Managed:              p.Managed,
-		AllocBytesPerKI:      p.AllocBytesPerKI,
-		ExceptionPKI:         p.ExceptionPKI,
-		ContentionPKI:        p.ContentionPKI,
-		DefaultCores:         p.DefaultCores,
-		InstructionScale:     p.InstructionScale,
-	}
-}
-
 // applyParams strict-decodes an override object into a copy of base;
 // absent keys keep the base value, unknown keys are errors.
 func applyParams(base profileParams, raw json.RawMessage) (profileParams, error) {
@@ -231,8 +200,8 @@ func applyParams(base profileParams, raw json.RawMessage) (profileParams, error)
 }
 
 // numField reads and writes one numeric Profile field as a float64.
-// Integer fields truncate toward zero on store, exactly like the legacy
-// tables' int(clamp(float64(v)*f, lo, hi)).
+// Integer fields truncate toward zero on store: an op computes in
+// float64 and the result converts to the field's integer type.
 type numField struct {
 	get func(*Profile) float64
 	set func(*Profile, float64)

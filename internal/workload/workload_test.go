@@ -7,36 +7,54 @@ import (
 	"repro/internal/stats"
 )
 
-func TestDotNetCategoryCount(t *testing.T) {
-	cats := DotNetCategories()
-	if len(cats) != DotNetCategoryCount || DotNetCategoryCount != 44 {
-		t.Fatalf("got %d categories, paper says 44", len(cats))
+// mib is one mebibyte, the unit the paper states working sets in.
+const mib = 1 << 20
+
+// catalog returns a built-in suite's profiles by wire name.
+func catalog(t *testing.T, wire string) []Profile {
+	t.Helper()
+	def, ok := Builtin().Lookup(wire)
+	if !ok {
+		t.Fatalf("no built-in suite %q", wire)
 	}
-	names := make(map[string]bool)
-	for _, c := range cats {
-		if names[c.Name] {
-			t.Fatalf("duplicate category %q", c.Name)
-		}
-		names[c.Name] = true
-		if err := c.Validate(); err != nil {
-			t.Fatalf("category %s invalid: %v", c.Name, err)
-		}
-		if !c.Managed {
-			t.Fatalf("category %s must be managed", c.Name)
-		}
-	}
+	return def.Profiles()
 }
 
-func TestDotNetWorkloadCount(t *testing.T) {
-	ws := DotNetWorkloads()
-	if len(ws) != DotNetWorkloadCount || DotNetWorkloadCount != 2906 {
-		t.Fatalf("got %d workloads, paper says 2906", len(ws))
-	}
-	// Spot-validate a deterministic sample rather than all 2906.
-	for i := 0; i < len(ws); i += 97 {
-		if err := ws[i].Validate(); err != nil {
-			t.Fatalf("workload %s invalid: %v", ws[i].Name, err)
-		}
+// TestBuiltinCatalogCounts: each built-in suite holds the paper's
+// population (§II: 44 .NET categories over 2906 microbenchmarks, 53
+// ASP.NET benchmarks; the SPEC CPU17 speed suite), uniquely named,
+// every profile valid, managed exactly when the suite is .NET.
+func TestBuiltinCatalogCounts(t *testing.T) {
+	for _, tc := range []struct {
+		wire    string
+		count   int
+		managed bool
+	}{
+		{"dotnet", 44, true},
+		{"dotnet-individual", 2906, true},
+		{"aspnet", 53, true},
+		{"spec", 20, false},
+	} {
+		t.Run(tc.wire, func(t *testing.T) {
+			ws := catalog(t, tc.wire)
+			if len(ws) != tc.count {
+				t.Fatalf("got %d workloads, want %d", len(ws), tc.count)
+			}
+			names := make(map[string]bool, len(ws))
+			for i := range ws {
+				w := &ws[i]
+				if names[w.Name] {
+					t.Fatalf("duplicate workload %q", w.Name)
+				}
+				names[w.Name] = true
+				if err := w.Validate(); err != nil {
+					t.Fatalf("%s invalid: %v", w.Name, err)
+				}
+				if w.Managed != tc.managed {
+					t.Fatalf("%s: Managed = %v, want %v", w.Name, w.Managed, tc.managed)
+				}
+			}
+		})
 	}
 }
 
@@ -47,17 +65,18 @@ func TestTableIVSubsetCategoriesPresent(t *testing.T) {
 		"System.Linq", "System.Net", "System.MathBenchmarks",
 		"System.Diagnostics", "CscBench",
 	}
-	total := 0
+	cats, _ := Builtin().Lookup("dotnet")
+	inSubset := map[string]bool{}
 	for _, name := range subset {
-		found := false
-		for _, c := range dotNetCategories {
-			if c.Name == name {
-				found = true
-				total += c.Count
-			}
-		}
-		if !found {
+		if _, ok := cats.Lookup(name); !ok {
 			t.Fatalf("Table IV category %q missing", name)
+		}
+		inSubset[name] = true
+	}
+	total := 0
+	for _, w := range catalog(t, "dotnet-individual") {
+		if inSubset[w.Category] {
+			total++
 		}
 	}
 	if total != 305 {
@@ -66,20 +85,8 @@ func TestTableIVSubsetCategoriesPresent(t *testing.T) {
 }
 
 func TestAspNetWorkloads(t *testing.T) {
-	ws := AspNetWorkloads()
-	if len(ws) != AspNetWorkloadCount || AspNetWorkloadCount != 53 {
-		t.Fatalf("got %d ASP.NET workloads, paper says 53", len(ws))
-	}
-	names := make(map[string]bool)
-	for _, w := range ws {
-		if names[w.Name] {
-			t.Fatalf("duplicate %q", w.Name)
-		}
-		names[w.Name] = true
-		if err := w.Validate(); err != nil {
-			t.Fatalf("%s invalid: %v", w.Name, err)
-		}
-		if !w.Managed || w.Suite != AspNet {
+	for _, w := range catalog(t, "aspnet") {
+		if w.Suite != AspNet {
 			t.Fatalf("%s misconfigured", w.Name)
 		}
 		if w.DefaultCores < 2 {
@@ -90,34 +97,26 @@ func TestAspNetWorkloads(t *testing.T) {
 		}
 	}
 	// Table IV representatives exist.
+	def, _ := Builtin().Lookup("aspnet")
 	for _, name := range []string{
 		"DbFortunesRaw", "MvcDbFortunesRaw", "MvcDbMultiUpdateRaw", "Plaintext",
 		"Json", "CopyToAsync", "MvcJsonNetOutput2M", "MvcJsonNetInput2M",
 	} {
-		if _, ok := ByName(ws, name); !ok {
+		if _, ok := def.Lookup(name); !ok {
 			t.Fatalf("Table IV ASP.NET workload %q missing", name)
 		}
 	}
 }
 
 func TestSpecWorkloads(t *testing.T) {
-	ws := SpecWorkloads()
-	if len(ws) < 16 {
-		t.Fatalf("SPEC catalog too small: %d", len(ws))
-	}
-	for _, w := range ws {
-		if err := w.Validate(); err != nil {
-			t.Fatalf("%s invalid: %v", w.Name, err)
-		}
-		if w.Managed {
-			t.Fatalf("%s: SPEC workloads are native", w.Name)
-		}
+	for _, w := range catalog(t, "spec") {
 		if w.KernelFrac > 0.05 {
 			t.Fatalf("%s: SPEC kernel share should be tiny (Fig 3)", w.Name)
 		}
 	}
+	def, _ := Builtin().Lookup("spec")
 	for _, name := range []string{"mcf", "cactuBSSN", "wrf", "gcc", "omnetpp", "perlbench", "xalancbmk", "bwaves"} {
-		if _, ok := ByName(ws, name); !ok {
+		if _, ok := def.Lookup(name); !ok {
 			t.Fatalf("Table IV SPEC workload %q missing", name)
 		}
 	}
@@ -133,7 +132,7 @@ func TestInstructionMixGeomeans(t *testing.T) {
 		}
 		return stats.GeoMean(vals)
 	}
-	spec, dn, asp := SpecWorkloads(), DotNetCategories(), AspNetWorkloads()
+	spec, dn, asp := catalog(t, "spec"), catalog(t, "dotnet"), catalog(t, "aspnet")
 
 	specLoads := gm(spec, func(p Profile) float64 { return p.LoadFrac })
 	dnLoads := gm(dn, func(p Profile) float64 { return p.LoadFrac })
@@ -166,9 +165,9 @@ func TestBranchDiversity(t *testing.T) {
 		}
 		return stats.StdDev(vals)
 	}
-	if spread(SpecWorkloads()) <= spread(AspNetWorkloads())*2 {
-		t.Fatalf("SPEC branch diversity %.4f should far exceed ASP.NET %.4f",
-			spread(SpecWorkloads()), spread(AspNetWorkloads()))
+	spec, asp := spread(catalog(t, "spec")), spread(catalog(t, "aspnet"))
+	if spec <= asp*2 {
+		t.Fatalf("SPEC branch diversity %.4f should far exceed ASP.NET %.4f", spec, asp)
 	}
 }
 
@@ -181,7 +180,7 @@ func TestKernelShareOrdering(t *testing.T) {
 		}
 		return stats.Mean(vals)
 	}
-	asp, dn, spec := mean(AspNetWorkloads()), mean(DotNetCategories()), mean(SpecWorkloads())
+	asp, dn, spec := mean(catalog(t, "aspnet")), mean(catalog(t, "dotnet")), mean(catalog(t, "spec"))
 	if !(asp > dn && dn > spec) {
 		t.Fatalf("kernel share ordering violated: asp=%.3f dotnet=%.3f spec=%.3f", asp, dn, spec)
 	}
@@ -191,8 +190,8 @@ func TestKernelShareOrdering(t *testing.T) {
 }
 
 func TestDeterministicGeneration(t *testing.T) {
-	a := DotNetWorkloads()
-	b := DotNetWorkloads()
+	a := catalog(t, "dotnet-individual")
+	b := catalog(t, "dotnet-individual")
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("workload %d differs between generations", i)
@@ -215,22 +214,12 @@ func TestSuiteString(t *testing.T) {
 	}
 }
 
-func TestFilterCategory(t *testing.T) {
-	ws := DotNetWorkloads()
-	runtime := FilterCategory(ws, "System.Runtime")
-	if len(runtime) != 120 {
-		t.Fatalf("System.Runtime has %d workloads, catalog says 120", len(runtime))
-	}
-	for _, w := range runtime {
-		if w.Category != "System.Runtime" {
-			t.Fatal("filter leaked other categories")
-		}
-	}
-}
-
 func TestValidateCatchesBadProfiles(t *testing.T) {
-	base := dotNetBase()
-	base.Name = "x"
+	def, _ := Builtin().Lookup("dotnet")
+	base, _ := def.Lookup("System.Runtime")
+	if err := base.Validate(); err != nil {
+		t.Fatalf("base profile invalid: %v", err)
+	}
 
 	p := base
 	p.BranchFrac = 0.9 // mix sums > 1
@@ -258,20 +247,15 @@ func TestValidateCatchesBadProfiles(t *testing.T) {
 }
 
 func TestDotNetFamilies(t *testing.T) {
-	ws := DotNetWorkloads()
-	if len(ws) != 2906 {
-		t.Fatalf("family naming changed the count: %d", len(ws))
-	}
-	names := make(map[string]bool, len(ws))
-	for _, w := range ws {
-		if names[w.Name] {
-			t.Fatalf("duplicate workload name %q", w.Name)
+	var collections []Profile
+	for _, w := range catalog(t, "dotnet-individual") {
+		if w.Category == "System.Collections" {
+			collections = append(collections, w)
 		}
-		names[w.Name] = true
 	}
 	// Named families appear for categories with family tables.
 	famSeen := map[string]bool{}
-	for _, w := range FilterCategory(ws, "System.Collections") {
+	for _, w := range collections {
 		// Name shape: System.Collections.<Family>.<NN>
 		parts := strings.Split(w.Name, ".")
 		famSeen[parts[len(parts)-2]] = true
@@ -281,18 +265,12 @@ func TestDotNetFamilies(t *testing.T) {
 			t.Fatalf("family %s missing from System.Collections (saw %v)", fam, famSeen)
 		}
 	}
-	// Family adjustments must keep every profile valid.
-	for i := 0; i < len(ws); i += 53 {
-		if err := ws[i].Validate(); err != nil {
-			t.Fatalf("%s: %v", ws[i].Name, err)
-		}
-	}
 	// Families differentiate behavior within a category: the Queue family
 	// should be more sequential than the HashSet family on average.
 	seqOf := func(fam string) float64 {
 		var sum float64
 		var n int
-		for _, w := range FilterCategory(ws, "System.Collections") {
+		for _, w := range collections {
 			if strings.Contains(w.Name, "."+fam+".") {
 				sum += w.SequentialFrac
 				n++

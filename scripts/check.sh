@@ -58,6 +58,9 @@
 #                table4 run end-to-end: the text rendering must grow the
 #                external suite's column and the JSON rendering must
 #                still validate
+#   examples     every examples/*/ program built and run; each must exit
+#   smoke        0 (they are the public charnet package's demos, and
+#                nothing else runs them)
 #   daemon smoke charnetd on an ephemeral port: one /v1/measure request
 #                validated by charnet-check artifact and compared
 #                byte-for-byte with charnet -format json export of the
@@ -191,6 +194,18 @@ grep -q "SPEC CPU17 mem" "$specdir/table4.txt" || {
     echo "external suite column missing from table4 text rendering" >&2; exit 1; }
 "$renderdir/charnet" -suite-spec examples/spec2017mem.json -cache "$specdir/mstore" \
     -format json table4 | "$check" artifact
+
+echo "== examples smoke (build and run every examples/*/ program)"
+exampledir="$workdir/examples"
+mkdir -p "$exampledir"
+for dir in examples/*/; do
+    name=$(basename "$dir")
+    go build -o "$exampledir/$name" "./$dir"
+    if ! "$exampledir/$name" > /dev/null; then
+        echo "example $name failed" >&2
+        exit 1
+    fi
+done
 
 echo "== daemon smoke (charnetd serve + measure vs export + /metrics scrape + graceful SIGTERM)"
 daemondir="$workdir/daemon"
