@@ -75,9 +75,12 @@ type Producer interface {
 	Artifact() *Artifact
 }
 
-// Value is one table cell: a pre-rendered text form (exactly what the
-// text renderer prints) plus the underlying number when the cell is
-// numeric, so structured renderings carry full precision.
+// Value is one table cell: its text form (exactly what the text renderer
+// prints) plus the underlying number when the cell is numeric, so
+// structured renderings carry full precision. A numeric cell with empty
+// Text prints as the canonical shortest rendering of Num, formatted only
+// when the text renderer asks; JSON and CSV never read a numeric cell's
+// Text.
 type Value struct {
 	Text  string
 	Num   float64
@@ -87,9 +90,16 @@ type Value struct {
 // Num builds a numeric cell with an explicit text rendering.
 func Num(text string, v float64) Value { return Value{Text: text, Num: v, IsNum: true} }
 
-// Number builds a numeric cell with the canonical shortest rendering.
-func Number(v float64) Value {
-	return Value{Text: strconv.FormatFloat(v, 'g', -1, 64), Num: v, IsNum: true}
+// Number builds a numeric cell printed in the canonical shortest
+// rendering. The text is left empty until the text renderer needs it.
+func Number(v float64) Value { return Value{Num: v, IsNum: true} }
+
+// text is the cell as the text renderer prints it.
+func (v Value) text() string {
+	if v.IsNum && v.Text == "" {
+		return strconv.FormatFloat(v.Num, 'g', -1, 64)
+	}
+	return v.Text
 }
 
 // Str builds a text-only cell.

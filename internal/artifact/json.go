@@ -45,7 +45,8 @@ func WriteJSON(w io.Writer, arts []*Artifact) error {
 }
 
 // encoders recycles encoder buffers across calls: a warm charnetd renders
-// every response, and w.Write does not retain the bytes it is given.
+// every filtered response and every driver body, and w.Write does not
+// retain the bytes it is given.
 var encoders = sync.Pool{New: func() any { return new(jsonEncoder) }}
 
 // jsonEncoder appends indented JSON to buf. A container opens with open

@@ -31,7 +31,7 @@ func (t *Table) renderText(b *textBuilder) {
 		vals := make([][]float64, len(t.Rows))
 		for i, row := range t.Rows {
 			if len(row) > 0 {
-				rowLabels[i] = row[0].Text
+				rowLabels[i] = row[0].text()
 			}
 			cells := make([]float64, 0, len(row)-1)
 			for _, c := range row[1:] {
@@ -54,7 +54,7 @@ func (t *Table) renderText(b *textBuilder) {
 	for i, row := range t.Rows {
 		cells := make([]string, len(row))
 		for j, c := range row {
-			cells[j] = c.Text
+			cells[j] = c.text()
 		}
 		rows[i] = cells
 	}

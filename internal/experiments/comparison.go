@@ -33,9 +33,32 @@ func (l *Lab) subsetVectors(ctx context.Context) (dn, asp, spec []core.Measureme
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return FilterMeasurements(cats, TableIVDotNetSubset),
-		FilterMeasurements(aspAll, TableIVAspNetSubset),
-		FilterMeasurements(specAll, TableIVSpecSubset), nil
+	if dn, err = subsetOf("dotnet", cats, TableIVDotNetSubset); err != nil {
+		return nil, nil, nil, err
+	}
+	if asp, err = subsetOf("aspnet", aspAll, TableIVAspNetSubset); err != nil {
+		return nil, nil, nil, err
+	}
+	if spec, err = subsetOf("spec", specAll, TableIVSpecSubset); err != nil {
+		return nil, nil, nil, err
+	}
+	return dn, asp, spec, nil
+}
+
+// subsetOf returns the measurements of the named workloads of a suite,
+// in the order given. Unlike FilterMeasurements, a name the measurements
+// lack is an error, worded as Lab.workloads words it: a figure over a
+// Table IV subset must not quietly plot fewer workloads.
+func subsetOf(suite string, ms []core.Measurement, names []string) ([]core.Measurement, error) {
+	out := FilterMeasurements(ms, names)
+	// out is names in order with the missing ones skipped, so the first
+	// position where they part is the first missing name.
+	for i, n := range names {
+		if i >= len(out) || out[i].Workload.Name != n {
+			return nil, fmt.Errorf("suite %q has no workload %q", suite, n)
+		}
+	}
+	return out, nil
 }
 
 // Figure3Result reproduces Fig 3: the kernel-instruction fraction of each
@@ -361,8 +384,14 @@ func Figure7(ctx context.Context, l *Lab) (*Figure7Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	x86 := FilterMeasurements(x86Cats, TableIVDotNetSubset)
-	arm := FilterMeasurements(armCats, TableIVDotNetSubset)
+	x86, err := subsetOf("dotnet", x86Cats, TableIVDotNetSubset)
+	if err != nil {
+		return nil, err
+	}
+	arm, err := subsetOf("dotnet", armCats, TableIVDotNetSubset)
+	if err != nil {
+		return nil, err
+	}
 	vx, _ := core.Vectors(x86)
 	va, _ := core.Vectors(arm)
 	if len(vx) < 2 || len(va) < 2 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -54,6 +55,38 @@ func (l *Lab) MeasureSuiteByName(ctx context.Context, suite string, m *machine.C
 	return l.MeasureSuite(ctx, def, m)
 }
 
+// MeasureJSON measures def on m through MeasureSuite and returns the
+// measure artifact's JSON rendering: WriteJSON of MeasureArtifact over
+// the whole suite, the body of an unfiltered POST /v1/measure and the
+// bytes `charnet -format json export` prints. A measurement never
+// changes over a Lab's life, so neither do its bytes: the Lab renders
+// them once per measure key and counts every call it answers without
+// rendering in lab.measure_json.hits. Callers share the returned bytes,
+// so none may modify them.
+func (l *Lab) MeasureJSON(ctx context.Context, def *workload.SuiteDef, m *machine.Config) ([]byte, error) {
+	ms, err := l.MeasureSuite(ctx, def, m)
+	if err != nil {
+		return nil, err
+	}
+	key, _ := l.measureKey(def, m)
+	hit := true
+	v, err := l.once(ctx, "json/"+key, func(context.Context) (any, error) {
+		hit = false
+		var buf bytes.Buffer
+		if err := artifact.WriteJSON(&buf, []*artifact.Artifact{MeasureArtifact(def.Wire, m, ms)}); err != nil {
+			return nil, err
+		}
+		return buf.Bytes(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if hit {
+		l.Obs.Add("lab.measure_json.hits", 1)
+	}
+	return v.([]byte), nil
+}
+
 // lookup resolves a wire-named suite through the registry.
 func (l *Lab) lookup(suite string) (*workload.SuiteDef, error) {
 	def, ok := l.registry().Lookup(suite)
@@ -83,9 +116,11 @@ func (l *Lab) workloads(suite string, names []string) ([]workload.Profile, error
 }
 
 // FilterMeasurements returns the measurements for the named workloads, in
-// the given order, skipping names the suite does not contain: the Table
-// IV drivers' subset selection, and serving requests that ask for
-// specific workloads.
+// the given order, skipping names the measurements do not contain: the
+// filter of serving requests that ask for specific workloads, whose names
+// serve has already checked against the catalog (a sampled suite may
+// still lack some). The Table IV figures pick through subsetOf, which
+// fails on a missing name instead.
 func FilterMeasurements(ms []core.Measurement, names []string) []core.Measurement {
 	// Map names to indices: copying every measurement of a suite into the
 	// map would cost more than the handful the filter keeps.

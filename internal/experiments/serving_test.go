@@ -79,6 +79,41 @@ func TestFilterMeasurements(t *testing.T) {
 	}
 }
 
+// TestSubsetOfFailsOnMissingName: the Table IV figures' subset picker
+// returns the named measurements in subset order, and a measurement list
+// that lacks one subset name is an error naming the suite and the
+// workload, where FilterMeasurements would quietly return fewer.
+func TestSubsetOfFailsOnMissingName(t *testing.T) {
+	var ms []core.Measurement
+	for i := len(TableIVDotNetSubset) - 1; i >= 0; i-- {
+		ms = append(ms, core.Measurement{Workload: workload.Profile{Name: TableIVDotNetSubset[i]}})
+	}
+	got, err := subsetOf("dotnet", ms, TableIVDotNetSubset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range got {
+		if m.Workload.Name != TableIVDotNetSubset[i] {
+			t.Fatalf("subset[%d] = %q, want %q", i, m.Workload.Name, TableIVDotNetSubset[i])
+		}
+	}
+
+	missing := TableIVDotNetSubset[3]
+	var lacking []core.Measurement
+	for _, m := range ms {
+		if m.Workload.Name != missing {
+			lacking = append(lacking, m)
+		}
+	}
+	if n := len(FilterMeasurements(lacking, TableIVDotNetSubset)); n != len(TableIVDotNetSubset)-1 {
+		t.Fatalf("FilterMeasurements kept %d, want %d", n, len(TableIVDotNetSubset)-1)
+	}
+	_, err = subsetOf("dotnet", lacking, TableIVDotNetSubset)
+	if want := `suite "dotnet" has no workload "` + missing + `"`; err == nil || err.Error() != want {
+		t.Fatalf("subset lacking %s returned %v, want %q", missing, err, want)
+	}
+}
+
 // TestMeasureArtifactErrorRows: failed workloads render an error cell,
 // and the schema still validates.
 func TestMeasureArtifactErrorRows(t *testing.T) {

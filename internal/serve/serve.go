@@ -43,7 +43,8 @@
 //     measurement-store write.
 //   - Request coalescing: concurrent identical measurements collapse
 //     through the Lab's singleflight and shared mstore; all callers get
-//     identical bytes from one underlying simulation.
+//     identical bytes from one underlying simulation, and an unfiltered
+//     body is rendered once per Lab (Lab.MeasureJSON).
 //   - Graceful drain: Close stops admitting (503), lets queued and
 //     running work complete, then joins the worker pool.
 //
@@ -58,6 +59,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -476,55 +478,76 @@ type measureRequest struct {
 	Workloads []string `json:"workloads,omitempty"`
 }
 
-// handleMeasure measures a suite through the admission queue and renders
-// the measured metric vectors as an artifact array.
-func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
+// measureCall is an accepted POST /v1/measure request: its suite and
+// machine resolved, and its optional workload filter, every name of
+// which the suite's catalog holds.
+type measureCall struct {
+	def       *workload.SuiteDef
+	m         *machine.Config
+	workloads []string
+}
+
+// decodeMeasure reads a POST /v1/measure body through the body limit,
+// decodes it (unknown fields are errors) and resolves its suite,
+// workloads and machine. Every rejection is a *statusError: 413 for a
+// body over the limit, 400 for anything else. w may be nil; when set, an
+// over-limit read tells it to close the connection.
+func (s *Server) decodeMeasure(w http.ResponseWriter, body io.ReadCloser) (measureCall, error) {
 	var req measureRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxMeasureBody))
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, s.maxMeasureBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			s.respondError(w, &statusError{http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
-			return
+			return measureCall{}, &statusError{http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
 		}
-		s.respondError(w, &statusError{http.StatusBadRequest, fmt.Sprintf("malformed request body: %v", err)})
-		return
+		return measureCall{}, &statusError{http.StatusBadRequest, fmt.Sprintf("malformed request body: %v", err)}
 	}
 	def, ok := s.lab.Suite(req.Suite)
 	if !ok {
-		s.respondError(w, &statusError{http.StatusBadRequest,
-			fmt.Sprintf("unknown suite %q (want one of %v)", req.Suite, s.lab.SuiteNames())})
-		return
+		return measureCall{}, &statusError{http.StatusBadRequest,
+			fmt.Sprintf("unknown suite %q (want one of %v)", req.Suite, s.lab.SuiteNames())}
 	}
 	if unknown := unknownWorkloads(def, req.Workloads); len(unknown) > 0 {
-		s.respondError(w, &statusError{http.StatusBadRequest,
-			fmt.Sprintf("unknown workloads %q in suite %q", unknown, req.Suite)})
-		return
+		return measureCall{}, &statusError{http.StatusBadRequest,
+			fmt.Sprintf("unknown workloads %q in suite %q", unknown, req.Suite)}
 	}
 	m, err := machineByName(req.Machine)
 	if err != nil {
-		s.respondError(w, &statusError{http.StatusBadRequest, err.Error()})
+		return measureCall{}, &statusError{http.StatusBadRequest, err.Error()}
+	}
+	return measureCall{def: def, m: m, workloads: req.Workloads}, nil
+}
+
+// handleMeasure measures a suite through the admission queue and renders
+// the measured metric vectors as an artifact array. An unfiltered
+// request's body is the Lab's once-rendered MeasureJSON; a filtered one,
+// whose key space is unbounded, renders its rows per request.
+func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
+	call, err := s.decodeMeasure(w, r.Body)
+	if err != nil {
+		s.respondError(w, err)
 		return
 	}
 	f := func(ctx context.Context, lane int) ([]byte, error) {
-		span := s.root.ChildLane(lane, "measure-request", req.Suite)
-		ms, err := s.lab.MeasureSuite(ctx, def, m)
-		span.End()
+		span := s.root.ChildLane(lane, "measure-request", call.def.Wire)
+		defer span.End()
+		if len(call.workloads) == 0 {
+			return s.lab.MeasureJSON(ctx, call.def, call.m)
+		}
+		ms, err := s.lab.MeasureSuite(ctx, call.def, call.m)
 		if err != nil {
 			return nil, err
 		}
-		if len(req.Workloads) > 0 {
-			ms = experiments.FilterMeasurements(ms, req.Workloads)
-			if len(ms) == 0 {
-				// Only reachable for sampled suites: the names exist in the
-				// catalog but fell outside the deterministic sample.
-				return nil, &statusError{http.StatusNotFound,
-					fmt.Sprintf("no requested workload was sampled in suite %q", req.Suite)}
-			}
+		ms = experiments.FilterMeasurements(ms, call.workloads)
+		if len(ms) == 0 {
+			// Only reachable for sampled suites: the names exist in the
+			// catalog but fell outside the deterministic sample.
+			return nil, &statusError{http.StatusNotFound,
+				fmt.Sprintf("no requested workload was sampled in suite %q", call.def.Wire)}
 		}
-		return renderArtifacts(experiments.MeasureArtifact(req.Suite, m, ms))
+		return renderArtifacts(experiments.MeasureArtifact(call.def.Wire, call.m, ms))
 	}
 	s.finish(w, r, f)
 }

@@ -414,6 +414,154 @@ func TestConcurrentMeasureCoalesces(t *testing.T) {
 	}
 }
 
+// TestMeasureJSONRendersOnce: an unfiltered measure body is rendered
+// once per Lab and measure key (Lab.MeasureJSON) and equals a fresh
+// rendering of the measurement; concurrent requests share that one
+// rendering; a filtered request renders its own rows and leaves no memo
+// entry; and a cancelled first request memoizes nothing.
+func TestMeasureJSONRendersOnce(t *testing.T) {
+	hits := func(tr *obs.Trace) int64 { return tr.Counter("lab.measure_json.hits") }
+	arm := machine.Arm()
+
+	t.Run("equals-fresh-render", func(t *testing.T) {
+		tr := obs.New()
+		lab := quickLab(tr)
+		_, srv := newTestServer(t, lab, tr, Config{})
+		resp, body := postJSON(t, srv, "/v1/measure", `{"suite":"spec","machine":"`+arm.Name+`"}`)
+		if resp.StatusCode != 200 {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		def, _ := lab.Suite("spec")
+		ms, err := lab.MeasureSuite(context.Background(), def, arm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := renderArtifacts(experiments.MeasureArtifact(def.Wire, arm, ms))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want) {
+			t.Fatalf("memoized body differs from a fresh rendering:\nmemo:\n%s\nfresh:\n%s", body, want)
+		}
+		if hits(tr) != 0 {
+			t.Fatalf("lab.measure_json.hits = %d after one request, want 0", hits(tr))
+		}
+	})
+
+	t.Run("concurrent-requests-share-one-render", func(t *testing.T) {
+		const n = 8
+		tr := obs.New()
+		lab := quickLab(tr)
+		_, srv := newTestServer(t, lab, tr, Config{Workers: n, QueueDepth: 2 * n})
+		bodies := make([][]byte, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				resp, err := srv.Client().Post(srv.URL+"/v1/measure", "application/json",
+					strings.NewReader(`{"suite":"dotnet"}`))
+				if err != nil {
+					t.Errorf("request %d: %v", i, err)
+					return
+				}
+				defer resp.Body.Close()
+				body, err := io.ReadAll(resp.Body)
+				if err != nil || resp.StatusCode != 200 {
+					t.Errorf("request %d: status %d err %v", i, resp.StatusCode, err)
+					return
+				}
+				bodies[i] = body
+			}(i)
+		}
+		wg.Wait()
+		for i := 1; i < n; i++ {
+			if !bytes.Equal(bodies[0], bodies[i]) {
+				t.Fatalf("request %d returned different bytes than request 0", i)
+			}
+		}
+		if hits(tr) != n-1 {
+			t.Fatalf("lab.measure_json.hits = %d for %d requests, want %d", hits(tr), n, n-1)
+		}
+	})
+
+	t.Run("filtered-request-adds-no-entry", func(t *testing.T) {
+		tr := obs.New()
+		lab := quickLab(tr)
+		_, srv := newTestServer(t, lab, tr, Config{})
+		resp, body := postJSON(t, srv, "/v1/measure", `{"suite":"aspnet","workloads":["Json","Plaintext"]}`)
+		if resp.StatusCode != 200 {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		checkArtifactBody(t, body)
+		// Had the filtered request left an entry, the unfiltered one
+		// would be answered from it.
+		first := postOK(t, srv, `{"suite":"aspnet"}`)
+		if hits(tr) != 0 {
+			t.Fatalf("lab.measure_json.hits = %d after a filtered and a first unfiltered request, want 0", hits(tr))
+		}
+		if again := postOK(t, srv, `{"suite":"aspnet"}`); !bytes.Equal(first, again) || hits(tr) != 1 {
+			t.Fatalf("second unfiltered request: equal bytes %v, hits %d; want true, 1", bytes.Equal(first, again), hits(tr))
+		}
+	})
+
+	t.Run("cancelled-first-request-memoizes-nothing", func(t *testing.T) {
+		tr := obs.New()
+		lab := quickLab(tr)
+		gate := newGateCache()
+		lab.Store = gate
+		_, srv := newTestServer(t, lab, tr, Config{Workers: 1, QueueDepth: 4})
+
+		// Pin the first request inside its measurement, then abandon it.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/measure",
+			strings.NewReader(`{"suite":"spec"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		errc := make(chan error, 1)
+		go func() {
+			resp, err := srv.Client().Do(req)
+			if err == nil {
+				resp.Body.Close()
+			}
+			errc <- err
+		}()
+		waitFor(t, func() bool { return tr.Counter("serve.tasks.started") == 1 }, "first request to start")
+		cancel()
+		if err := <-errc; !errors.Is(err, context.Canceled) {
+			t.Fatalf("abandoned request returned %v, want context.Canceled", err)
+		}
+		// The server notices the disconnect asynchronously. Its 499 is
+		// counted only once the request context, the one the task
+		// measures under, is done, so the gate opens on a dead context.
+		waitFor(t, func() bool { return tr.Counter("serve.status.499") == 1 }, "handler to see the cancel")
+		close(gate.release)
+		waitFor(t, func() bool { return tr.Counter("serve.tasks.done") == 1 }, "cancelled task to unwind")
+
+		first := postOK(t, srv, `{"suite":"spec"}`)
+		checkArtifactBody(t, first)
+		if hits(tr) != 0 {
+			t.Fatalf("lab.measure_json.hits = %d after a cancelled and a successful request, want 0", hits(tr))
+		}
+		if again := postOK(t, srv, `{"suite":"spec"}`); !bytes.Equal(first, again) || hits(tr) != 1 {
+			t.Fatalf("repeat request: equal bytes %v, hits %d; want true, 1", bytes.Equal(first, again), hits(tr))
+		}
+	})
+}
+
+// postOK posts a measure request that must succeed and returns its body.
+func postOK(t *testing.T, srv *httptest.Server, body string) []byte {
+	t.Helper()
+	resp, out := postJSON(t, srv, "/v1/measure", body)
+	if resp.StatusCode != 200 {
+		t.Fatalf("%s: status %d: %s", body, resp.StatusCode, out)
+	}
+	return out
+}
+
 // gateCache is the fault-injection seam: a core.MeasurementCache whose
 // Get blocks until released, pinning a measurement task inside a worker
 // for as long as a test needs the queue to stay occupied.
@@ -958,6 +1106,40 @@ func BenchmarkNewServer(b *testing.B) {
 		tr := obs.New()
 		s := New(quickLab(tr), tr, Config{})
 		s.Close()
+	}
+}
+
+// BenchmarkWarmMeasure times one warm unfiltered /v1/measure request for
+// the largest built-in body, dotnet-individual's at Quick fidelity
+// (about 150 KB), through an httptest server: decoding, admission, the
+// Lab's once-rendered body and HTTP.
+func BenchmarkWarmMeasure(b *testing.B) {
+	tr := obs.New()
+	lab := experiments.NewLab(experiments.Quick())
+	lab.Obs = tr
+	s := New(lab, tr, Config{})
+	srv := httptest.NewServer(s)
+	defer func() {
+		srv.Close()
+		s.Close()
+	}()
+	post := func() {
+		resp, err := srv.Client().Post(srv.URL+"/v1/measure", "application/json",
+			strings.NewReader(`{"suite":"dotnet-individual"}`))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != 200 || n == 0 {
+			b.Fatalf("status %d, %d bytes, err %v", resp.StatusCode, n, err)
+		}
+	}
+	post() // the cold request measures the suite and renders its body
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
 	}
 }
 

@@ -189,18 +189,12 @@ func TestKernelShareOrdering(t *testing.T) {
 	}
 }
 
+// TestDeterministicGeneration: distinct workloads get distinct seeds.
+// That generation repeats bit for bit is FuzzParseSpec's job (its seed
+// corpus parses every embedded spec twice) and TestBuiltinCatalogDigest's.
 func TestDeterministicGeneration(t *testing.T) {
-	a := catalog(t, "dotnet-individual")
-	b := catalog(t, "dotnet-individual")
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("workload %d differs between generations", i)
-		}
-	}
-	if a[0].Seed() != b[0].Seed() {
-		t.Fatal("seeds not deterministic")
-	}
-	if a[0].Seed() == a[1].Seed() {
+	ps := catalog(t, "dotnet-individual")
+	if ps[0].Seed() == ps[1].Seed() {
 		t.Fatal("distinct workloads share a seed")
 	}
 }

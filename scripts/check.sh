@@ -15,16 +15,21 @@
 #                order (-shuffle=on) so order-dependent tests cannot
 #                hide behind file ordering
 #   race repeat  the fitting drivers run concurrently on one Lab,
-#                sharing each suite's fit, ten times under the race
-#                detector (-race -count=10), since one clean run proves
-#                little about state several goroutines share
+#                sharing each suite's fit, and concurrent measure
+#                requests sharing one once-rendered body, each ten times
+#                under the race detector (-race -count=10), since one
+#                clean run proves little about state several goroutines
+#                share
 #   fuzz budget  every native fuzz target fuzzed for 5 s beyond its seed
 #                corpus (go test -fuzz), so a new crasher on the mem,
-#                rng, cluster, mstore-entry, suite-spec or exposition
-#                boundaries, a suite spec that parses twice to different
-#                profiles, an exposition check that changes its verdict
-#                between calls, or a JSON artifact rendering that departs
-#                from the encoding/json reference, fails here;
+#                rng, cluster, mstore-entry, suite-spec, exposition or
+#                /v1/measure request boundaries, a suite spec that parses
+#                twice to different profiles, an exposition check that
+#                changes its verdict between calls, a JSON artifact
+#                rendering that departs from the encoding/json reference,
+#                or a measure request rejected with a status other than
+#                400 or 413, or accepted naming something no catalog
+#                holds, fails here;
 #                minimizing a new input stops after 1 s, or the 37 KB
 #                built-in spec seed of FuzzParseSpec would spend the
 #                whole budget on one minimization
@@ -61,11 +66,12 @@
 #   examples     every examples/*/ program built and run; each must exit
 #   smoke        0 (they are the public charnet package's demos, and
 #                nothing else runs them)
-#   daemon smoke charnetd on an ephemeral port: one /v1/measure request
-#                validated by charnet-check artifact and compared
-#                byte-for-byte with charnet -format json export of the
-#                same suite (one output for a suite measurement), which
-#                is validated too, /metrics scraped by charnet-check
+#   daemon smoke charnetd on an ephemeral port: the same /v1/measure
+#                request twice (a cold body, then the Lab's once-rendered
+#                warm one), each validated by charnet-check artifact and
+#                compared byte-for-byte with charnet -format json export
+#                of the same suite (one output for a suite measurement),
+#                which is validated too, /metrics scraped by charnet-check
 #                metrics for the serve.* families, then SIGTERM and a
 #                clean (exit 0) graceful drain
 #
@@ -100,8 +106,9 @@ grep -q '"analyzers"' "$workdir/vet.json" || {
 echo "== go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
-echo "== race repeat (concurrent drivers sharing fits, -race -count=10)"
+echo "== race repeat (concurrent drivers sharing fits, requests sharing bodies, -race -count=10)"
 go test -race -count=10 -run '^TestConcurrentDriversShareFits$' ./internal/experiments
+go test -race -count=10 -run '^TestMeasureJSONRendersOnce$' ./internal/serve
 
 echo "== bench smoke (compile + one iteration)"
 go test -run=NONE -bench=. -benchtime=1x ./... > /dev/null
@@ -111,7 +118,7 @@ for target in internal/mem:FuzzCacheAccess internal/mem:FuzzTLBLookup \
     internal/mem:FuzzResetPrewarm internal/cluster:FuzzAgglomerate \
     internal/rng:FuzzHitMatchesBool internal/mstore:FuzzGet \
     internal/artifact:FuzzWriteJSON internal/workload:FuzzParseSpec \
-    internal/telemetry:FuzzCheckExposition; do
+    internal/telemetry:FuzzCheckExposition internal/serve:FuzzMeasureRequest; do
     go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 5s -fuzzminimizetime 1s "./${target%%:*}"
 done
 
@@ -224,16 +231,18 @@ if [[ -z "$daemonaddr" ]]; then
     cat "$daemondir/stderr.txt" >&2
     exit 1
 fi
-curl -fsS -X POST -H 'Content-Type: application/json' -d '{"suite":"aspnet"}' \
-    "http://$daemonaddr/v1/measure" > "$daemondir/measure.json"
-"$check" artifact "$daemondir/measure.json"
 "$renderdir/charnet" -format json export aspnet > "$daemondir/export.json"
 "$check" artifact "$daemondir/export.json"
-if ! cmp -s "$daemondir/measure.json" "$daemondir/export.json"; then
-    echo "charnet export and charnetd /v1/measure emit different bytes for aspnet:" >&2
-    diff "$daemondir/measure.json" "$daemondir/export.json" | head -20 >&2 || true
-    exit 1
-fi
+for pass in cold warm; do
+    curl -fsS -X POST -H 'Content-Type: application/json' -d '{"suite":"aspnet"}' \
+        "http://$daemonaddr/v1/measure" > "$daemondir/measure-$pass.json"
+    "$check" artifact "$daemondir/measure-$pass.json"
+    if ! cmp -s "$daemondir/measure-$pass.json" "$daemondir/export.json"; then
+        echo "charnet export and charnetd /v1/measure ($pass) emit different bytes for aspnet:" >&2
+        diff "$daemondir/measure-$pass.json" "$daemondir/export.json" | head -20 >&2 || true
+        exit 1
+    fi
+done
 "$check" metrics \
     -want charnet_serve_request_latency_seconds,charnet_serve_queue_wait_seconds,charnet_measure_latency_seconds \
     "http://$daemonaddr/metrics"
