@@ -285,20 +285,22 @@ func (l *Lab) plan(def *workload.SuiteDef) *suitePlan {
 	if p, ok := l.plans[k]; ok {
 		return p
 	}
-	p := &suitePlan{ps: def.Profiles()}
-	if def.Measurement.Sampled {
-		if n := k.limit; n > 0 && n < len(p.ps) {
-			// Deterministic stride sample across categories rather than a
-			// prefix, so the limited set still spans the suite. The loop is
-			// bounded by n itself, so the sample is exactly n workloads for
-			// any suite size; max index (n-1)*(len/n) < len.
-			stride := len(p.ps) / n
-			sel := make([]workload.Profile, n)
-			for i := range sel {
-				sel[i] = p.ps[i*stride]
-			}
-			p.ps = sel
+	p := &suitePlan{}
+	if n := k.limit; def.Measurement.Sampled && n > 0 && n < def.Len() {
+		// Deterministic stride sample across categories rather than a
+		// prefix, so the limited set still spans the suite. The loop is
+		// bounded by n itself, so the sample is exactly n workloads for
+		// any suite size; max index (n-1)*(len/n) < len. Only the sample
+		// is copied out of the catalog.
+		stride := def.Len() / n
+		p.ps = make([]workload.Profile, n)
+		for i := range p.ps {
+			p.ps[i] = def.Profile(i * stride)
 		}
+	} else {
+		p.ps = def.Profiles()
+	}
+	if def.Measurement.Sampled {
 		p.sel = selectionID(p.ps)
 	}
 	l.plans[k] = p

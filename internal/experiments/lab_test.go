@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -163,6 +164,36 @@ func TestDotNetIndividualExactLimit(t *testing.T) {
 		}
 		if len(ms) != n {
 			t.Fatalf("limit %d yielded %d workloads", n, len(ms))
+		}
+	}
+}
+
+// TestPlanIsStrideSample: a sampled suite's plan, which copies only the
+// sampled profiles out of the catalog, is the stride sample over a full
+// catalog copy, with its selection ID, at and around both ends of the
+// limit range.
+func TestPlanIsStrideSample(t *testing.T) {
+	def, ok := workload.Builtin().Lookup("dotnet-individual")
+	if !ok {
+		t.Fatal("dotnet-individual not registered")
+	}
+	all := def.Profiles()
+	for _, n := range []int{1, 220, len(all) - 1, len(all)} {
+		want := all
+		if n < len(all) {
+			want = make([]workload.Profile, n)
+			for i := range want {
+				want[i] = all[i*(len(all)/n)]
+			}
+		}
+		cfg := Quick()
+		cfg.DotNetIndividualLimit = n
+		p := NewLab(cfg).plan(def)
+		if !reflect.DeepEqual(p.ps, want) {
+			t.Fatalf("limit %d: the plan's %d profiles are not the stride sample of %d", n, len(p.ps), len(want))
+		}
+		if p.sel != selectionID(want) {
+			t.Fatalf("limit %d: selection %s, want %s", n, p.sel, selectionID(want))
 		}
 	}
 }

@@ -3,7 +3,9 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"sync"
 
 	"repro/internal/artifact"
 	"repro/internal/core"
@@ -64,6 +66,50 @@ func (l *Lab) MeasureSuiteByName(ctx context.Context, suite string, m *machine.C
 // rendering in lab.measure_json.hits. Callers share the returned bytes,
 // so none may modify them.
 func (l *Lab) MeasureJSON(ctx context.Context, def *workload.SuiteDef, m *machine.Config) ([]byte, error) {
+	b, err := l.renderMeasure(ctx, def, m)
+	if err != nil {
+		return nil, err
+	}
+	return b.json, nil
+}
+
+// MeasureResultLine returns the last line of an unfiltered POST
+// /v1/measure?stream=jsonl response: {"event":"result","artifacts":...}
+// and a newline, with MeasureJSON's body embedded as encoding/json
+// embeds a json.RawMessage (compacted, with <, > and & escaped). The Lab
+// builds the line from the body on first use and keeps it beside the
+// body, so a streamed request neither re-renders nor re-compacts it; a
+// call answered from a rendered body counts in lab.measure_json.hits as
+// MeasureJSON's do. Callers share the returned bytes, so none may modify
+// them.
+func (l *Lab) MeasureResultLine(ctx context.Context, def *workload.SuiteDef, m *machine.Config) ([]byte, error) {
+	b, err := l.renderMeasure(ctx, def, m)
+	if err != nil {
+		return nil, err
+	}
+	b.lineOnce.Do(func() {
+		var buf bytes.Buffer
+		b.lineErr = json.NewEncoder(&buf).Encode(struct {
+			Event     string          `json:"event"`
+			Artifacts json.RawMessage `json:"artifacts"`
+		}{"result", b.json})
+		b.line = buf.Bytes()
+	})
+	return b.line, b.lineErr
+}
+
+// measureBody is one measure key's rendered body and, once a streamed
+// request has asked for it, its stream result line.
+type measureBody struct {
+	json     []byte
+	lineOnce sync.Once
+	line     []byte
+	lineErr  error
+}
+
+// renderMeasure returns the body of def's measurement on m, rendering it
+// on the key's first call.
+func (l *Lab) renderMeasure(ctx context.Context, def *workload.SuiteDef, m *machine.Config) (*measureBody, error) {
 	ms, err := l.MeasureSuite(ctx, def, m)
 	if err != nil {
 		return nil, err
@@ -76,7 +122,7 @@ func (l *Lab) MeasureJSON(ctx context.Context, def *workload.SuiteDef, m *machin
 		if err := artifact.WriteJSON(&buf, []*artifact.Artifact{MeasureArtifact(def.Wire, m, ms)}); err != nil {
 			return nil, err
 		}
-		return buf.Bytes(), nil
+		return &measureBody{json: buf.Bytes()}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -84,7 +130,7 @@ func (l *Lab) MeasureJSON(ctx context.Context, def *workload.SuiteDef, m *machin
 	if hit {
 		l.Obs.Add("lab.measure_json.hits", 1)
 	}
-	return v.([]byte), nil
+	return v.(*measureBody), nil
 }
 
 // lookup resolves a wire-named suite through the registry.

@@ -32,6 +32,22 @@
 // these bytes directly and Get checks them directly; neither runs
 // encoding/json.
 //
+// The key is the SHA-256 of one JSON envelope,
+//
+//	{"Version":4,"Profiles":[<profile>,...],"Machine":<machine>,"Options":<options>}
+//
+// each part as json.Marshal writes it (a nil profile list as null), so
+// the bytes hashed are exactly json.Marshal of a struct with those four
+// fields; the tests keep that struct as the reference every key must
+// match. Key streams the envelope into the hash piece by piece.
+// Marshalling the profiles, mostly formatting their floats, is most of
+// what a key costs, so a Store also memoizes each profile's JSON by the
+// profile's exact content: a memo hit compares every float by its bits,
+// since -0 == +0 but the two encode differently. Keying a profile the
+// store has keyed before then only hashes its bytes. The memo holds at
+// most memoCap (16,384) profiles, more than the 3,023 of the built-in
+// suites, and never one that fails to marshal (a NaN or an infinity).
+//
 // Corrupt or unreadable entries are treated as misses. An entry is
 // corrupt unless its bytes are exactly what Put writes for its key: any
 // other JSON, even one encoding/json would read the same, is corrupt, as
@@ -55,8 +71,11 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"sync"
 
 	"repro/internal/core"
@@ -92,6 +111,8 @@ type Store struct {
 
 	warnMu sync.Mutex
 	warned map[string]bool
+
+	memo profileMemo
 }
 
 var _ core.MeasurementCache = (*Store)(nil)
@@ -128,30 +149,135 @@ func (s *Store) warnOnce(class, format string, args ...any) {
 	fmt.Fprintf(w, "charnet: mstore: "+format+" (further %s warnings suppressed)\n", append(args, class)...)
 }
 
-// keyEnvelope is the canonical keyed-input serialization. Field order is
-// fixed by the struct definition and encoding/json is deterministic for
-// these shapes (no maps), so equal inputs always produce equal bytes.
-type keyEnvelope struct {
-	Version  int
-	Profiles []workload.Profile
-	Machine  *machine.Config
-	Options  sim.Options
-}
+// The fixed pieces of the key envelope, which keyWith writes around the
+// profiles, the machine and the options.
+var (
+	keyHead    = []byte(`{"Version":` + strconv.Itoa(FormatVersion) + `,"Profiles":`)
+	keyNull    = []byte(`null`)
+	keyOpen    = []byte(`[`)
+	keyComma   = []byte(`,`)
+	keyClose   = []byte(`]`)
+	keyMachine = []byte(`,"Machine":`)
+	keyOptions = []byte(`,"Options":`)
+	keyTail    = []byte(`}`)
+)
 
 // Key returns the content hash naming the measurement of ps on m under
-// opts, as a hex string.
+// opts, as a hex string: the SHA-256 of the key envelope (see the package
+// doc), which it writes into the hash piece by piece. It keeps no memo;
+// a Store keys through its own.
 func Key(ps []workload.Profile, m *machine.Config, opts sim.Options) (string, error) {
-	b, err := json.Marshal(keyEnvelope{
-		Version:  FormatVersion,
-		Profiles: ps,
-		Machine:  m,
-		Options:  opts,
-	})
+	return keyWith(nil, ps, m, opts)
+}
+
+// keyWith is Key, taking each profile's JSON from memo when memo is set.
+func keyWith(memo *profileMemo, ps []workload.Profile, m *machine.Config, opts sim.Options) (string, error) {
+	h := sha256.New()
+	write := func(b []byte) {
+		//charnet:ignore errdiscard hash.Hash.Write is documented to never return an error
+		h.Write(b)
+	}
+	write(keyHead)
+	if ps == nil {
+		write(keyNull)
+	} else {
+		write(keyOpen)
+		for i := range ps {
+			if i > 0 {
+				write(keyComma)
+			}
+			b, err := memo.profileJSON(&ps[i])
+			if err != nil {
+				return "", fmt.Errorf("mstore: keying: %w", err)
+			}
+			write(b)
+		}
+		write(keyClose)
+	}
+	mb, err := json.Marshal(m)
 	if err != nil {
 		return "", fmt.Errorf("mstore: keying: %w", err)
 	}
-	h := sha256.Sum256(b)
-	return hex.EncodeToString(h[:]), nil
+	ob, err := json.Marshal(opts)
+	if err != nil {
+		return "", fmt.Errorf("mstore: keying: %w", err)
+	}
+	write(keyMachine)
+	write(mb)
+	write(keyOptions)
+	write(ob)
+	write(keyTail)
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// memoCap bounds a Store's profile memo. The built-in suites hold 3,023
+// profiles; a store keying more distinct ones than this keys the rest
+// without the memo.
+const memoCap = 16384
+
+// profileMemo maps each profile a Store has keyed to its JSON. Its map is
+// keyed by the profile's value, under which -0 and +0 are equal, so a hit
+// also compares the float bits before it serves the JSON.
+type profileMemo struct {
+	mu sync.Mutex
+	m  map[workload.Profile]memoProfile
+}
+
+type memoProfile struct {
+	p    workload.Profile
+	json []byte
+}
+
+// profileJSON returns json.Marshal(p), from the memo when it holds p and
+// memo is not nil. A profile that fails to marshal is never memoized.
+func (memo *profileMemo) profileJSON(p *workload.Profile) ([]byte, error) {
+	if memo == nil {
+		return json.Marshal(p)
+	}
+	memo.mu.Lock()
+	e, ok := memo.m[*p]
+	memo.mu.Unlock()
+	if ok && sameFloatBits(&e.p, p) {
+		return e.json, nil
+	}
+	b, err := json.Marshal(p)
+	if err != nil {
+		return nil, err
+	}
+	memo.mu.Lock()
+	if memo.m == nil {
+		memo.m = make(map[workload.Profile]memoProfile)
+	}
+	if len(memo.m) < memoCap {
+		memo.m[*p] = memoProfile{*p, b}
+	}
+	memo.mu.Unlock()
+	return b, nil
+}
+
+// profileFloats indexes workload.Profile's float64 fields.
+var profileFloats = func() []int {
+	var idx []int
+	t := reflect.TypeOf(workload.Profile{})
+	for i := 0; i < t.NumField(); i++ {
+		if t.Field(i).Type.Kind() == reflect.Float64 {
+			idx = append(idx, i)
+		}
+	}
+	return idx
+}()
+
+// sameFloatBits reports whether a and b hold the same bits in every float
+// field. For two profiles that are ==, it is false only where one holds
+// -0 and the other +0.
+func sameFloatBits(a, b *workload.Profile) bool {
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for _, i := range profileFloats {
+		if math.Float64bits(va.Field(i).Float()) != math.Float64bits(vb.Field(i).Float()) {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *Store) path(key string) string {
@@ -171,7 +297,7 @@ func (s *Store) Get(ps []workload.Profile, m *machine.Config, opts sim.Options) 
 		}
 		s.Obs.Observe(name, s.Obs.Now().Sub(start))
 	}()
-	key, err := Key(ps, m, opts)
+	key, err := keyWith(&s.memo, ps, m, opts)
 	if err != nil {
 		s.Obs.Add("mstore.errors", 1)
 		s.warnOnce("key", "cannot key measurement request: %v", err)
@@ -213,7 +339,7 @@ func (s *Store) Put(ps []workload.Profile, m *machine.Config, opts sim.Options, 
 }
 
 func (s *Store) put(ps []workload.Profile, m *machine.Config, opts sim.Options, ms []core.Measurement) error {
-	key, err := Key(ps, m, opts)
+	key, err := keyWith(&s.memo, ps, m, opts)
 	if err != nil {
 		return err
 	}

@@ -522,12 +522,20 @@ func (s *Server) decodeMeasure(w http.ResponseWriter, body io.ReadCloser) (measu
 
 // handleMeasure measures a suite through the admission queue and renders
 // the measured metric vectors as an artifact array. An unfiltered
-// request's body is the Lab's once-rendered MeasureJSON; a filtered one,
-// whose key space is unbounded, renders its rows per request.
+// request's body is the Lab's once-rendered MeasureJSON, and a streamed
+// one ends with the Lab's once-built MeasureResultLine; a filtered
+// request, whose key space is unbounded, renders its rows per request.
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	call, err := s.decodeMeasure(w, r.Body)
 	if err != nil {
 		s.respondError(w, err)
+		return
+	}
+	if len(call.workloads) == 0 && r.URL.Query().Get("stream") == "jsonl" {
+		s.finishStream(w, r, func(ctx context.Context, lane int) ([]byte, error) {
+			defer s.root.ChildLane(lane, "measure-request", call.def.Wire).End()
+			return s.lab.MeasureResultLine(ctx, call.def, call.m)
+		})
 		return
 	}
 	f := func(ctx context.Context, lane int) ([]byte, error) {
@@ -619,7 +627,17 @@ func unknownWorkloads(def *workload.SuiteDef, names []string) []string {
 // finish routes an execution to the plain or streaming response path.
 func (s *Server) finish(w http.ResponseWriter, r *http.Request, f func(ctx context.Context, lane int) ([]byte, error)) {
 	if r.URL.Query().Get("stream") == "jsonl" {
-		s.finishStream(w, r, f)
+		s.finishStream(w, r, func(ctx context.Context, lane int) ([]byte, error) {
+			body, err := f(ctx, lane)
+			if err != nil {
+				return nil, err
+			}
+			var line bytes.Buffer
+			if err := json.NewEncoder(&line).Encode(streamEvent{Event: "result", Artifacts: body}); err != nil {
+				return nil, err
+			}
+			return line.Bytes(), nil
+		})
 		return
 	}
 	body, err := s.execute(r.Context(), f)
@@ -638,9 +656,9 @@ type streamEvent struct {
 	Artifacts json.RawMessage `json:"artifacts,omitempty"` // result: the artifact array
 }
 
-// finishStream streams admission progress as JSONL and ends with a
-// result (or error) line. Shedding still uses real HTTP status codes —
-// the stream only begins once the request is admitted.
+// finishStream streams admission progress as JSONL and ends with the
+// result line f returns (or an error line). Shedding still uses real HTTP
+// status codes — the stream only begins once the request is admitted.
 func (s *Server) finishStream(w http.ResponseWriter, r *http.Request, f func(ctx context.Context, lane int) ([]byte, error)) {
 	ctx := r.Context()
 	t, err := s.enqueue(ctx, f)
@@ -652,12 +670,18 @@ func (s *Server) finishStream(w http.ResponseWriter, r *http.Request, f func(ctx
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	emit := func(e streamEvent) {
+	send := func(line []byte) {
 		//charnet:ignore errdiscard a failed stream write means the client left; the select below exits on ctx
-		json.NewEncoder(w).Encode(e)
+		w.Write(line)
 		if flusher != nil {
 			flusher.Flush()
 		}
+	}
+	emit := func(e streamEvent) {
+		var line bytes.Buffer
+		//charnet:ignore errdiscard a stream event holds no value encoding/json rejects
+		json.NewEncoder(&line).Encode(e)
+		send(line.Bytes())
 	}
 	emit(streamEvent{Event: "queued", Depth: t.depth})
 	for {
@@ -675,7 +699,7 @@ func (s *Server) finishStream(w http.ResponseWriter, r *http.Request, f func(ctx
 				emit(streamEvent{Event: "error", Error: res.err.Error()})
 				return
 			}
-			emit(streamEvent{Event: "result", Artifacts: json.RawMessage(res.body)})
+			send(res.body)
 			return
 		case <-ctx.Done():
 			return

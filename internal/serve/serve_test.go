@@ -326,40 +326,44 @@ func TestEndpointsE2E(t *testing.T) {
 	})
 
 	t.Run("stream-jsonl", func(t *testing.T) {
-		_, plain := postJSON(t, srv, "/v1/measure", `{"suite":"dotnet"}`)
-		resp, body := postJSON(t, srv, "/v1/measure?stream=jsonl", `{"suite":"dotnet"}`)
-		if resp.StatusCode != 200 {
-			t.Fatalf("status %d: %s", resp.StatusCode, body)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-			t.Fatalf("content-type %q, want application/x-ndjson", ct)
-		}
-		var events []streamEvent
-		dec := json.NewDecoder(bytes.NewReader(body))
-		for {
-			var e streamEvent
-			if err := dec.Decode(&e); err == io.EOF {
-				break
-			} else if err != nil {
-				t.Fatalf("stream line not JSON: %v\n%s", err, body)
+		// An unfiltered request twice, so its result line comes once from
+		// the body and once from the Lab's memo, then a filtered one.
+		for _, req := range []string{`{"suite":"dotnet"}`, `{"suite":"dotnet"}`, `{"suite":"aspnet","workloads":["Json","Plaintext"]}`} {
+			_, plain := postJSON(t, srv, "/v1/measure", req)
+			resp, body := postJSON(t, srv, "/v1/measure?stream=jsonl", req)
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s: status %d: %s", req, resp.StatusCode, body)
 			}
-			events = append(events, e)
-		}
-		if len(events) != 3 || events[0].Event != "queued" || events[1].Event != "running" || events[2].Event != "result" {
-			t.Fatalf("event sequence = %+v, want queued/running/result", events)
-		}
-		if events[0].Depth < 1 {
-			t.Errorf("queued event depth = %d, want >= 1", events[0].Depth)
-		}
-		checkArtifactBody(t, events[2].Artifacts)
-		// Embedding into the event line compacts the JSON; the content must
-		// still match the plain response exactly.
-		var compactPlain bytes.Buffer
-		if err := json.Compact(&compactPlain, plain); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(bytes.TrimSpace(events[2].Artifacts), compactPlain.Bytes()) {
-			t.Error("streamed result artifacts differ from the plain response body")
+			if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+				t.Fatalf("%s: content-type %q, want application/x-ndjson", req, ct)
+			}
+			var events []streamEvent
+			dec := json.NewDecoder(bytes.NewReader(body))
+			for {
+				var e streamEvent
+				if err := dec.Decode(&e); err == io.EOF {
+					break
+				} else if err != nil {
+					t.Fatalf("%s: stream line not JSON: %v\n%s", req, err, body)
+				}
+				events = append(events, e)
+			}
+			if len(events) != 3 || events[0].Event != "queued" || events[1].Event != "running" || events[2].Event != "result" {
+				t.Fatalf("%s: event sequence = %+v, want queued/running/result", req, events)
+			}
+			if events[0].Depth < 1 {
+				t.Errorf("%s: queued event depth = %d, want >= 1", req, events[0].Depth)
+			}
+			checkArtifactBody(t, events[2].Artifacts)
+			// The result line must be the bytes encoding/json writes for
+			// the plain response's body in a result event.
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(streamEvent{Event: "result", Artifacts: plain}); err != nil {
+				t.Fatal(err)
+			}
+			if lines := bytes.SplitAfter(body, []byte("\n")); len(lines) != 4 || !bytes.Equal(lines[2], want.Bytes()) {
+				t.Errorf("%s: the streamed result line differs from encoding the plain response body", req)
+			}
 		}
 	})
 }
@@ -1112,7 +1116,8 @@ func BenchmarkNewServer(b *testing.B) {
 // BenchmarkWarmMeasure times one warm unfiltered /v1/measure request for
 // the largest built-in body, dotnet-individual's at Quick fidelity
 // (about 150 KB), through an httptest server: decoding, admission, the
-// Lab's once-rendered body and HTTP.
+// Lab's once-rendered body and HTTP, plain and streamed (?stream=jsonl,
+// whose result line the Lab also builds once).
 func BenchmarkWarmMeasure(b *testing.B) {
 	tr := obs.New()
 	lab := experiments.NewLab(experiments.Quick())
@@ -1123,8 +1128,8 @@ func BenchmarkWarmMeasure(b *testing.B) {
 		srv.Close()
 		s.Close()
 	}()
-	post := func() {
-		resp, err := srv.Client().Post(srv.URL+"/v1/measure", "application/json",
+	post := func(b *testing.B, path string) {
+		resp, err := srv.Client().Post(srv.URL+path, "application/json",
 			strings.NewReader(`{"suite":"dotnet-individual"}`))
 		if err != nil {
 			b.Fatal(err)
@@ -1135,11 +1140,18 @@ func BenchmarkWarmMeasure(b *testing.B) {
 			b.Fatalf("status %d, %d bytes, err %v", resp.StatusCode, n, err)
 		}
 	}
-	post() // the cold request measures the suite and renders its body
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		post()
+	for _, bc := range []struct{ name, path string }{
+		{"plain", "/v1/measure"},
+		{"stream", "/v1/measure?stream=jsonl"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			post(b, bc.path) // the first request measures the suite and renders its bytes
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				post(b, bc.path)
+			}
+		})
 	}
 }
 

@@ -40,6 +40,9 @@ func (d *SuiteDef) Len() int { return len(d.profiles) }
 // Name is the name of the i-th workload in catalog order.
 func (d *SuiteDef) Name(i int) string { return d.profiles[i].Name }
 
+// Profile is the i-th workload in catalog order.
+func (d *SuiteDef) Profile(i int) Profile { return d.profiles[i] }
+
 // Lookup finds one workload by name.
 func (d *SuiteDef) Lookup(name string) (Profile, bool) {
 	i, ok := d.byName[name]

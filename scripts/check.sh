@@ -15,11 +15,11 @@
 #                order (-shuffle=on) so order-dependent tests cannot
 #                hide behind file ordering
 #   race repeat  the fitting drivers run concurrently on one Lab,
-#                sharing each suite's fit, and concurrent measure
-#                requests sharing one once-rendered body, each ten times
-#                under the race detector (-race -count=10), since one
-#                clean run proves little about state several goroutines
-#                share
+#                sharing each suite's fit, concurrent measure requests
+#                sharing one once-rendered body, and concurrent keying
+#                through one store's profile memo, each ten times under
+#                the race detector (-race -count=10), since one clean run
+#                proves little about state several goroutines share
 #   fuzz budget  every native fuzz target fuzzed for 5 s beyond its seed
 #                corpus (go test -fuzz), so a new crasher on the mem,
 #                rng, cluster, mstore-entry, suite-spec, exposition or
@@ -27,6 +27,8 @@
 #                twice to different profiles, an exposition check that
 #                changes its verdict between calls, a JSON artifact
 #                rendering that departs from the encoding/json reference,
+#                a store key, streamed and memoized, that departs from
+#                the hash of the json.Marshal key envelope,
 #                or a measure request rejected with a status other than
 #                400 or 413, or accepted naming something no catalog
 #                holds, fails here;
@@ -106,9 +108,10 @@ grep -q '"analyzers"' "$workdir/vet.json" || {
 echo "== go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
-echo "== race repeat (concurrent drivers sharing fits, requests sharing bodies, -race -count=10)"
+echo "== race repeat (concurrent drivers sharing fits, requests sharing bodies, keys sharing a memo, -race -count=10)"
 go test -race -count=10 -run '^TestConcurrentDriversShareFits$' ./internal/experiments
 go test -race -count=10 -run '^TestMeasureJSONRendersOnce$' ./internal/serve
+go test -race -count=10 -run '^TestKeyMemoConcurrent$' ./internal/mstore
 
 echo "== bench smoke (compile + one iteration)"
 go test -run=NONE -bench=. -benchtime=1x ./... > /dev/null
@@ -117,7 +120,7 @@ echo "== fuzz budget (5 s per native fuzz target)"
 for target in internal/mem:FuzzCacheAccess internal/mem:FuzzTLBLookup \
     internal/mem:FuzzResetPrewarm internal/cluster:FuzzAgglomerate \
     internal/rng:FuzzHitMatchesBool internal/mstore:FuzzGet \
-    internal/artifact:FuzzWriteJSON internal/workload:FuzzParseSpec \
+    internal/mstore:FuzzKey internal/artifact:FuzzWriteJSON internal/workload:FuzzParseSpec \
     internal/telemetry:FuzzCheckExposition internal/serve:FuzzMeasureRequest; do
     go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 5s -fuzzminimizetime 1s "./${target%%:*}"
 done
