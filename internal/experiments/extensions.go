@@ -108,7 +108,8 @@ func extensionCases() []assistCase {
 	}
 }
 
-// Extensions runs the §VIII what-if studies.
+// Extensions runs the §VIII what-if studies: per case, a baseline and an
+// assisted batch over the case's workloads.
 func Extensions(ctx context.Context, l *Lab) (*ExtensionsResult, error) {
 	out := &ExtensionsResult{Speedup: map[string]float64{}}
 	m := machine.CoreI9()
@@ -118,31 +119,34 @@ func Extensions(ctx context.Context, l *Lab) (*ExtensionsResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range ps {
-			name := p.Name
-			if err := ctx.Err(); err != nil {
-				return nil, err
+		base := c.opts(sim.Options{Instructions: l.Cfg.Instructions * 4})
+		baseMs, err := l.measureBatch(ctx, "extensions/"+c.suite, ps, m, base)
+		if err != nil {
+			return nil, err
+		}
+		withAssist := base
+		withAssist.Assist = c.assist
+		aMs, err := l.measureBatch(ctx, "extensions/"+c.suite, ps, m, withAssist)
+		if err != nil {
+			return nil, err
+		}
+		for i, p := range ps {
+			if err := baseMs[i].Err; err != nil {
+				return nil, fmt.Errorf("experiments: extensions baseline %s/%s: %w", c.name, p.Name, err)
 			}
-			base := c.opts(sim.Options{Instructions: l.Cfg.Instructions * 4})
-			baseRes, err := sim.Run(p, m, base)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: extensions baseline %s/%s: %w", c.name, name, err)
+			if err := aMs[i].Err; err != nil {
+				return nil, fmt.Errorf("experiments: extensions assisted %s/%s: %w", c.name, p.Name, err)
 			}
-			withAssist := base
-			withAssist.Assist = c.assist
-			aRes, err := sim.Run(p, m, withAssist)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: extensions assisted %s/%s: %w", c.name, name, err)
-			}
+			b, a := &baseMs[i].Result.Counters, &aMs[i].Result.Counters
 			d := AssistDelta{
-				Workload:     name,
+				Workload:     p.Name,
 				Assist:       c.name,
-				CPIRatio:     ratio(aRes.Counters.CPI(), baseRes.Counters.CPI()),
-				L1IRatio:     ratio(aRes.Counters.MPKI(aRes.Counters.L1IMisses), baseRes.Counters.MPKI(baseRes.Counters.L1IMisses)),
-				ITLBRatio:    ratio(aRes.Counters.MPKI(aRes.Counters.ITLBMisses), baseRes.Counters.MPKI(baseRes.Counters.ITLBMisses)),
-				BTBMissRatio: ratio(float64(aRes.Counters.BTBMisses), float64(baseRes.Counters.BTBMisses)),
-				LLCRatio:     ratio(aRes.Counters.MPKI(aRes.Counters.L3Misses), baseRes.Counters.MPKI(baseRes.Counters.L3Misses)),
-				InstrRatio:   ratio(float64(aRes.Counters.Instructions), float64(baseRes.Counters.Instructions)),
+				CPIRatio:     ratio(a.CPI(), b.CPI()),
+				L1IRatio:     ratio(a.MPKI(a.L1IMisses), b.MPKI(b.L1IMisses)),
+				ITLBRatio:    ratio(a.MPKI(a.ITLBMisses), b.MPKI(b.ITLBMisses)),
+				BTBMissRatio: ratio(float64(a.BTBMisses), float64(b.BTBMisses)),
+				LLCRatio:     ratio(a.MPKI(a.L3Misses), b.MPKI(b.L3Misses)),
+				InstrRatio:   ratio(float64(a.Instructions), float64(b.Instructions)),
 			}
 			out.Deltas = append(out.Deltas, d)
 			if d.CPIRatio > 0 {

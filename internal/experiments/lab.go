@@ -7,14 +7,16 @@
 // Drivers register themselves in registry.go; cmd/charnet's dispatch
 // table, usage string and `all` loop are generated from that registry.
 //
-// Drivers share a Lab, which caches suite measurements per machine: most
-// figures consume the same measured vectors, and the .NET suite alone has
-// up to 2906 workloads. Every driver takes a context; cancelling it
-// aborts in-flight suite measurement within one workload's sim time.
+// Drivers share a Lab and simulate only through it (Lab.measure), which
+// caches measurements: most figures consume the same measured vectors,
+// and the .NET suite alone has up to 2906 workloads. Every driver takes
+// a context; cancelling it aborts in-flight measurement within one
+// workload's sim time.
 package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -65,7 +67,7 @@ func Full() Config {
 	}
 }
 
-// Lab caches suite measurements, and their fits, per (suite, machine).
+// Lab caches measurements, of suites and of driver batches, and fits.
 type Lab struct {
 	Cfg Config
 
@@ -80,13 +82,12 @@ type Lab struct {
 	// map below still fronts it within a process.
 	Store core.MeasurementCache
 
-	// Obs, when set, traces suite measurements (one "measure <key>" span
-	// each, per-workload sim spans beneath) and counts singleflight
-	// coalescing. Nil disables all instrumentation at ~zero cost.
+	// Obs, when set, traces measurements (one "measure <key>" span each,
+	// per-workload sim spans beneath) and counts singleflight coalescing.
+	// Nil disables all instrumentation at ~zero cost.
 	Obs *obs.Trace
 
 	mu    sync.Mutex
-	cache map[string]*measureEntry
 	memo  map[string]*memoEntry
 	plans map[planKey]*suitePlan
 }
@@ -107,17 +108,7 @@ type suitePlan struct {
 	sel string
 }
 
-// measureEntry is a singleflight cell: the first caller for a key creates
-// it and measures; later callers wait on done and share the result — or
-// the error, when the leader's context was cancelled mid-measurement.
-type measureEntry struct {
-	done chan struct{}
-	ms   []core.Measurement
-	err  error
-}
-
-// memoEntry is the singleflight cell for derived results shared between
-// drivers (see Lab.once).
+// memoEntry is the Lab's singleflight cell (see Lab.once).
 type memoEntry struct {
 	done chan struct{}
 	val  any
@@ -128,81 +119,89 @@ type memoEntry struct {
 func NewLab(cfg Config) *Lab {
 	return &Lab{
 		Cfg:   cfg,
-		cache: make(map[string]*measureEntry),
 		memo:  make(map[string]*memoEntry),
 		plans: make(map[planKey]*suitePlan),
 	}
 }
 
+// measure measures ps on m under opts once per key, which names exactly
+// those inputs: the one way a driver simulates, so every run gets the
+// worker pool, the memo, the store and a "measure <key>" span.
 func (l *Lab) measure(ctx context.Context, key string, ps []workload.Profile, m *machine.Config, opts sim.Options) ([]core.Measurement, error) {
-	l.mu.Lock()
-	if e, ok := l.cache[key]; ok {
-		l.mu.Unlock()
-		select {
-		case <-e.done:
-			l.Obs.Add("lab.memcache.hits", 1)
-		default:
-			// A measurement of this key is in flight: wait it out rather
-			// than duplicating the full-suite simulation. If the leader's
-			// context gets cancelled we inherit its error; the failed entry
-			// is evicted, so a later uncancelled call re-measures.
-			l.Obs.Add("lab.singleflight.coalesced", 1)
-			waitStart := l.Obs.Now()
-			<-e.done
-			l.Obs.Observe("measure.singleflight.wait", l.Obs.Now().Sub(waitStart))
-		}
-		return e.ms, e.err
+	start := l.Obs.Now()
+	v, how, err := l.once(ctx, key, func(ctx context.Context) (any, error) {
+		span := l.Obs.Span("measure", key)
+		opts.Obs = span
+		ms, err := core.MeasureSuite(ctx, l.Store, ps, m, opts, l.Cfg.Workers)
+		span.End()
+		l.Obs.Observe("measure.latency", span.Duration())
+		return ms, err
+	})
+	switch how {
+	case finished:
+		l.Obs.Add("lab.memcache.hits", 1)
+	case waited: // joined an in-flight measurement instead of duplicating it
+		l.Obs.Add("lab.singleflight.coalesced", 1)
+		l.Obs.Observe("measure.singleflight.wait", l.Obs.Now().Sub(start))
 	}
-	e := &measureEntry{done: make(chan struct{})}
-	l.cache[key] = e
-	l.mu.Unlock()
-	span := l.Obs.Span("measure", key)
-	opts.Obs = span
-	e.ms, e.err = core.MeasureSuite(ctx, l.Store, ps, m, opts, l.Cfg.Workers)
-	span.End()
-	l.Obs.Observe("measure.latency", span.Duration())
-	if e.err != nil {
-		// Evict before releasing waiters: an entry that failed (in practice,
-		// was cancelled) must not poison the key for future callers. A
-		// caller racing the eviction either holds e (and sees the error) or
-		// misses the map and measures fresh — both are correct.
-		l.mu.Lock()
-		delete(l.cache, key)
-		l.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
-	close(e.done)
-	return e.ms, e.err
+	return v.([]core.Measurement), nil
 }
 
-// once runs f at most once per key and shares the result, under the same
-// singleflight-with-eviction discipline as measure: concurrent callers
-// wait for the leader, a failed computation is evicted so later callers
-// retry, and a successful one is served from memory forever after. It
-// exists for derived results drivers share: Figs 11 and 12 both consume
-// the ASP.NET core-count sweep, and five drivers share suite fits
-// (characterize).
-func (l *Lab) once(ctx context.Context, key string, f func(context.Context) (any, error)) (any, error) {
+// measureBatch measures one batch of a driver's study, ps on m under
+// opts, through measure, keyed on the study, the machine, the selection
+// and the options as store keys encode them (without opts.Obs).
+func (l *Lab) measureBatch(ctx context.Context, study string, ps []workload.Profile, m *machine.Config, opts sim.Options) ([]core.Measurement, error) {
+	o, err := json.Marshal(opts)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", study, err)
+	}
+	return l.measure(ctx, study+"/"+m.Name+"/"+selectionID(ps)+"/"+string(o), ps, m, opts)
+}
+
+// outcome says how once answered a call.
+type outcome int
+
+const (
+	computed outcome = iota // this call ran f
+	finished                // an earlier call had already run f
+	waited                  // this call waited for another call's f
+)
+
+// once runs f at most once per key and shares the result: concurrent
+// callers wait for the leader, a failed computation (in practice, a
+// cancelled one) is evicted so later callers retry, and a successful one
+// is served from memory forever after. Measurements, fits and rendered
+// measure bodies all go through it.
+func (l *Lab) once(ctx context.Context, key string, f func(context.Context) (any, error)) (any, outcome, error) {
 	l.mu.Lock()
 	if e, ok := l.memo[key]; ok {
 		l.mu.Unlock()
-		<-e.done
-		return e.val, e.err
+		how := finished
+		select {
+		case <-e.done:
+		default:
+			how = waited
+			<-e.done
+		}
+		return e.val, how, e.err
 	}
 	e := &memoEntry{done: make(chan struct{})}
 	l.memo[key] = e
 	l.mu.Unlock()
 	e.val, e.err = f(ctx)
 	if e.err != nil {
+		// Evict before releasing waiters, so the failed entry cannot
+		// poison the key. A caller racing the eviction either holds e
+		// (and sees the error) or misses the map and computes afresh.
 		l.mu.Lock()
 		delete(l.memo, key)
 		l.mu.Unlock()
 	}
 	close(e.done)
-	return e.val, e.err
-}
-
-func (l *Lab) opts() sim.Options {
-	return sim.Options{Instructions: l.Cfg.Instructions}
+	return e.val, computed, e.err
 }
 
 // registry resolves the Lab's suite registry, defaulting to the
@@ -222,7 +221,7 @@ func (l *Lab) registry() *workload.Registry {
 // singleflight and caches.
 func (l *Lab) MeasureSuite(ctx context.Context, def *workload.SuiteDef, m *machine.Config) ([]core.Measurement, error) {
 	key, plan := l.measureKey(def, m)
-	opts := l.opts()
+	opts := sim.Options{Instructions: l.Cfg.Instructions}
 	if d := def.Measurement.InstructionsDivisor; d > 0 {
 		opts.Instructions = l.Cfg.Instructions/d + def.Measurement.InstructionsExtra
 	}
@@ -255,9 +254,7 @@ func (l *Lab) characterize(ctx context.Context, suite string, m *machine.Config)
 		return nil, err
 	}
 	key, _ := l.measureKey(def, m)
-	hit := true
-	v, err := l.once(ctx, "characterize/"+key, func(ctx context.Context) (any, error) {
-		hit = false
+	v, how, err := l.once(ctx, "characterize/"+key, func(ctx context.Context) (any, error) {
 		ms, err := l.MeasureSuite(ctx, def, m)
 		if err != nil {
 			return nil, err
@@ -267,7 +264,7 @@ func (l *Lab) characterize(ctx context.Context, suite string, m *machine.Config)
 	if err != nil {
 		return nil, err
 	}
-	if hit {
+	if how != computed {
 		l.Obs.Add("lab.characterize.hits", 1)
 	}
 	return v.(*core.Characterization), nil

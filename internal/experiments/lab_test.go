@@ -121,7 +121,7 @@ func TestOnceMemo(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			vals[i], _ = lab.once(context.Background(), "memo-key", f)
+			vals[i], _, _ = lab.once(context.Background(), "memo-key", f)
 		}(i)
 	}
 	wg.Wait()
@@ -136,12 +136,12 @@ func TestOnceMemo(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := lab.once(ctx, "memo-err", func(ctx context.Context) (any, error) {
+	if _, _, err := lab.once(ctx, "memo-err", func(ctx context.Context) (any, error) {
 		return nil, ctx.Err()
 	}); err == nil {
 		t.Fatal("erroring memo should fail")
 	}
-	v, err := lab.once(context.Background(), "memo-err", func(context.Context) (any, error) {
+	v, _, err := lab.once(context.Background(), "memo-err", func(context.Context) (any, error) {
 		return 42, nil
 	})
 	if err != nil || v != 42 {

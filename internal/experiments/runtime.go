@@ -37,7 +37,8 @@ func figure13Counters() []trace.CounterSeries {
 	}
 }
 
-// Figure13 runs the correlation studies.
+// Figure13 runs the correlation studies: a JIT batch and a GC batch over
+// the ASP.NET subset.
 func Figure13(ctx context.Context, l *Lab) (*Figure13Result, error) {
 	out := &Figure13Result{
 		JIT:     map[string]map[trace.CounterSeries]float64{},
@@ -53,45 +54,45 @@ func Figure13(ctx context.Context, l *Lab) (*Figure13Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range ps {
+	// JIT study: huge heap (no GC), churning code.
+	jit, err := l.measureBatch(ctx, "fig13/aspnet", ps, machine.CoreI9(), sim.Options{
+		Instructions:    l.Cfg.Instructions * 2,
+		Cores:           4,
+		MaxHeapBytes:    20000 << 20,
+		SampleInterval:  l.Cfg.SampleInterval,
+		TierUpCalls:     50,
+		PrecompiledFrac: 0.9,
+	})
+	if err != nil {
+		return nil, err
+	}
+	// GC study: small heap, aggressive allocation compression.
+	gc, err := l.measureBatch(ctx, "fig13/aspnet", ps, machine.CoreI9(), sim.Options{
+		Instructions:   l.Cfg.Instructions * 2,
+		Cores:          4,
+		MaxHeapBytes:   200 << 20,
+		AllocScale:     4000,
+		SampleInterval: l.Cfg.SampleInterval,
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range ps {
 		name := p.Name
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// JIT study: huge heap (no GC), churning code.
-		jitRes, err := sim.Run(p, machine.CoreI9(), sim.Options{
-			Instructions:    l.Cfg.Instructions * 2,
-			Cores:           4,
-			MaxHeapBytes:    20000 << 20,
-			SampleInterval:  l.Cfg.SampleInterval,
-			TierUpCalls:     50,
-			PrecompiledFrac: 0.9,
-		})
-		if err != nil {
+		if err := jit[i].Err; err != nil {
 			return nil, fmt.Errorf("experiments: figure 13 JIT run %s: %w", name, err)
 		}
-		jitCors, err := trace.StudyLagged(jitRes.Samples, trace.EventJIT, figure13Counters(), 0)
+		jitCors, err := trace.StudyLagged(jit[i].Result.Samples, trace.EventJIT, figure13Counters(), 0)
 		if err != nil {
 			return nil, err
 		}
 		out.JIT[name] = corMap(jitCors)
 		out.JITRank[name] = rankMap(jitCors)
 
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// GC study: small heap, aggressive allocation compression.
-		gcRes, err := sim.Run(p, machine.CoreI9(), sim.Options{
-			Instructions:   l.Cfg.Instructions * 2,
-			Cores:          4,
-			MaxHeapBytes:   200 << 20,
-			AllocScale:     4000,
-			SampleInterval: l.Cfg.SampleInterval,
-		})
-		if err != nil {
+		if err := gc[i].Err; err != nil {
 			return nil, fmt.Errorf("experiments: figure 13 GC run %s: %w", name, err)
 		}
-		gcCors, err := trace.StudyLagged(gcRes.Samples, trace.EventGC, figure13Counters(), 0)
+		gcCors, err := trace.StudyLagged(gc[i].Result.Samples, trace.EventGC, figure13Counters(), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -235,7 +236,8 @@ type Figure14Result struct {
 // figure14Heaps is the paper's heap-size sweep in MiB.
 var figure14Heaps = []int64{200, 2000, 20000}
 
-// Figure14 sweeps GC modes and heap sizes over the .NET subset.
+// Figure14 sweeps GC modes and heap sizes over the .NET subset, one
+// batch per (GC mode, heap size).
 func Figure14(ctx context.Context, l *Lab) (*Figure14Result, error) {
 	out := &Figure14Result{Cells: map[string][]GCConfigResult{}}
 	names := TableIVDotNetSubset
@@ -247,39 +249,42 @@ func Figure14(ctx context.Context, l *Lab) (*Figure14Result, error) {
 		return nil, err
 	}
 
-	var gcRatios, llcRatios, speedups []float64
-	for _, p := range ps {
-		name := p.Name
-		var cells []GCConfigResult
-		for _, mode := range []clr.GCMode{clr.Workstation, clr.Server} {
-			for _, heapMiB := range figure14Heaps {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
+	for _, mode := range []clr.GCMode{clr.Workstation, clr.Server} {
+		for _, heapMiB := range figure14Heaps {
+			ms, err := l.measureBatch(ctx, "fig14/dotnet", ps, machine.CoreI9(), sim.Options{
+				// Long enough that workstation GC completes full
+				// nursery cycles even at the large heap caps.
+				Instructions: l.Cfg.Instructions * 4,
+				GCMode:       mode,
+				MaxHeapBytes: heapMiB << 20,
+				AllocScale:   4000,
+			})
+			if err != nil {
+				return nil, err
+			}
+			for _, mm := range ms {
+				name := mm.Workload.Name
 				cell := GCConfigResult{Mode: mode, HeapMiB: heapMiB}
-				res, err := sim.Run(p, machine.CoreI9(), sim.Options{
-					// Long enough that workstation GC completes full
-					// nursery cycles even at the large heap caps.
-					Instructions: l.Cfg.Instructions * 4,
-					GCMode:       mode,
-					MaxHeapBytes: heapMiB << 20,
-					AllocScale:   4000,
-				})
-				if err != nil {
-					if errors.Is(err, clr.ErrOutOfMemory) || errors.Is(err, clr.ErrServerGCReserve) {
-						cell.Failed = true
-						cell.FailMsg = err.Error()
-						cells = append(cells, cell)
-						continue
-					}
-					return nil, fmt.Errorf("experiments: figure 14 %s %v/%dMiB: %w", name, mode, heapMiB, err)
+				switch {
+				case errors.Is(mm.Err, clr.ErrOutOfMemory) || errors.Is(mm.Err, clr.ErrServerGCReserve):
+					cell.Failed = true
+					cell.FailMsg = mm.Err.Error()
+				case mm.Err != nil:
+					return nil, fmt.Errorf("experiments: figure 14 %s %v/%dMiB: %w", name, mode, heapMiB, mm.Err)
+				default:
+					c := &mm.Result.Counters
+					cell.GCPKI = c.MPKI(c.GCTriggered)
+					cell.LLCMPKI = c.MPKI(c.L3Misses)
+					cell.Seconds = c.WallSeconds
 				}
-				cell.GCPKI = res.Counters.MPKI(res.Counters.GCTriggered)
-				cell.LLCMPKI = res.Counters.MPKI(res.Counters.L3Misses)
-				cell.Seconds = res.Counters.WallSeconds
-				cells = append(cells, cell)
+				out.Cells[name] = append(out.Cells[name], cell)
 			}
 		}
+	}
+
+	var gcRatios, llcRatios, speedups []float64
+	for _, p := range ps {
+		cells := out.Cells[p.Name]
 		// Pairwise server-vs-workstation comparisons at matching heap
 		// sizes (only pairs where both configurations ran).
 		for i := range figure14Heaps {
@@ -318,7 +323,6 @@ func Figure14(ctx context.Context, l *Lab) (*Figure14Result, error) {
 			cells[i].Relative.LLCMPKI = ratio(cells[i].LLCMPKI, base.LLCMPKI)
 			cells[i].Relative.Seconds = ratio(cells[i].Seconds, base.Seconds)
 		}
-		out.Cells[name] = cells
 	}
 	out.ServerOverWorkstationGC = stats.GeoMean(gcRatios)
 	out.ServerOverWorkstationLLC = stats.GeoMean(llcRatios)

@@ -55,33 +55,27 @@ func sensitivityConfigs(base uint64) []struct {
 	}
 }
 
-// Sensitivity runs the robustness sweep over the Table IV subsets.
+// Sensitivity runs the robustness sweep over the Table IV subsets, one
+// batch per (configuration, suite).
 func Sensitivity(ctx context.Context, l *Lab) (*SensitivityResult, error) {
-	m := machine.CoreI9()
-	dn, err := l.workloads("dotnet", TableIVDotNetSubset)
-	if err != nil {
-		return nil, err
+	measureSubset := func(suite string, names []string, opts sim.Options) ([]core.Measurement, error) {
+		ps, err := l.workloads(suite, names)
+		if err != nil {
+			return nil, err
+		}
+		return l.measureBatch(ctx, "sensitivity/"+suite, ps, machine.CoreI9(), opts)
 	}
-	asp, err := l.workloads("aspnet", TableIVAspNetSubset)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := l.workloads("spec", TableIVSpecSubset)
-	if err != nil {
-		return nil, err
-	}
-
 	out := &SensitivityResult{}
 	for _, cfg := range sensitivityConfigs(l.Cfg.Instructions) {
-		dms, err := core.MeasureSuite(ctx, nil, dn, m, cfg.opts, l.Cfg.Workers)
+		dms, err := measureSubset("dotnet", TableIVDotNetSubset, cfg.opts)
 		if err != nil {
 			return nil, err
 		}
-		ams, err := core.MeasureSuite(ctx, nil, asp, m, cfg.opts, l.Cfg.Workers)
+		ams, err := measureSubset("aspnet", TableIVAspNetSubset, cfg.opts)
 		if err != nil {
 			return nil, err
 		}
-		sms, err := core.MeasureSuite(ctx, nil, spec, m, cfg.opts, l.Cfg.Workers)
+		sms, err := measureSubset("spec", TableIVSpecSubset, cfg.opts)
 		if err != nil {
 			return nil, err
 		}

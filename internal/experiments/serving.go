@@ -115,9 +115,7 @@ func (l *Lab) renderMeasure(ctx context.Context, def *workload.SuiteDef, m *mach
 		return nil, err
 	}
 	key, _ := l.measureKey(def, m)
-	hit := true
-	v, err := l.once(ctx, "json/"+key, func(context.Context) (any, error) {
-		hit = false
+	v, how, err := l.once(ctx, "json/"+key, func(context.Context) (any, error) {
 		var buf bytes.Buffer
 		if err := artifact.WriteJSON(&buf, []*artifact.Artifact{MeasureArtifact(def.Wire, m, ms)}); err != nil {
 			return nil, err
@@ -127,7 +125,7 @@ func (l *Lab) renderMeasure(ctx context.Context, def *workload.SuiteDef, m *mach
 	if err != nil {
 		return nil, err
 	}
-	if hit {
+	if how != computed {
 		l.Obs.Add("lab.measure_json.hits", 1)
 	}
 	return v.(*measureBody), nil

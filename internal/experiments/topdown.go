@@ -202,63 +202,51 @@ type ScalingPoint struct {
 	CPI     float64
 }
 
-// scalingSweep is the ASP.NET core-count sweep Figs 11 and 12 share.
-type scalingSweep struct {
-	Points []ScalingPoint
-	Sweep  []int
-}
-
-// aspNetScaling measures (or returns the memoized) ASP.NET subset sweep
-// across the configured core counts. Both Fig 11 and Fig 12 consume it;
-// Lab.once guarantees the simulations run at most once per Lab.
-func (l *Lab) aspNetScaling(ctx context.Context) (*scalingSweep, error) {
-	v, err := l.once(ctx, "aspnet-scaling", func(ctx context.Context) (any, error) {
-		span := l.Obs.Span("measure", "aspnet-scaling")
-		defer span.End()
-		out := &scalingSweep{Sweep: l.Cfg.CoreSweep}
-		names := TableIVAspNetSubset
-		if len(names) > 4 && l.Cfg.Instructions <= 8000 {
-			names = names[:4] // quick mode: a representative half
-		}
-		ps, err := l.workloads("aspnet", names)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range ps {
-			for _, cores := range l.Cfg.CoreSweep {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				// Scaling runs need steadier counters than the sweep default:
-				// shared-LLC contention is a steady-state effect.
-				wspan := span.Child("sim", p.Name)
-				res, err := sim.Run(p, machine.CoreI9(), sim.Options{
-					Instructions: l.Cfg.Instructions * 3,
-					Cores:        cores,
-					Obs:          wspan,
-				})
-				wspan.End()
-				if err != nil {
-					return nil, fmt.Errorf("experiments: figure 11 %s@%d: %w", p.Name, cores, err)
-				}
-				out.Points = append(out.Points, ScalingPoint{
-					Name:    p.Name,
-					Cores:   cores,
-					Profile: res.Profile,
-					LLCMPKI: res.Counters.MPKI(res.Counters.L3Misses),
-					CPI:     res.Counters.CPI(),
-				})
-			}
-		}
-		if len(out.Points) == 0 {
-			return nil, fmt.Errorf("experiments: figure 11 has no points")
-		}
-		return out, nil
-	})
+// aspNetScaling measures the ASP.NET subset at each configured core
+// count, one batch per count, and returns the points of the sweep Figs 11
+// and 12 both consume. The Lab measures each batch at most once.
+func (l *Lab) aspNetScaling(ctx context.Context) ([]ScalingPoint, error) {
+	names := TableIVAspNetSubset
+	if len(names) > 4 && l.Cfg.Instructions <= 8000 {
+		names = names[:4] // quick mode: a representative half
+	}
+	ps, err := l.workloads("aspnet", names)
 	if err != nil {
 		return nil, err
 	}
-	return v.(*scalingSweep), nil
+	batches := make([][]core.Measurement, len(l.Cfg.CoreSweep))
+	for j, cores := range l.Cfg.CoreSweep {
+		// Scaling runs need steadier counters than the sweep default:
+		// shared-LLC contention is a steady-state effect.
+		batches[j], err = l.measureBatch(ctx, "fig11/aspnet", ps, machine.CoreI9(), sim.Options{
+			Instructions: l.Cfg.Instructions * 3,
+			Cores:        cores,
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	var points []ScalingPoint
+	for i, p := range ps {
+		for j, cores := range l.Cfg.CoreSweep {
+			mm := batches[j][i]
+			if mm.Err != nil {
+				return nil, fmt.Errorf("experiments: figure 11 %s@%d: %w", p.Name, cores, mm.Err)
+			}
+			c := &mm.Result.Counters
+			points = append(points, ScalingPoint{
+				Name:    p.Name,
+				Cores:   cores,
+				Profile: mm.Result.Profile,
+				LLCMPKI: c.MPKI(c.L3Misses),
+				CPI:     c.CPI(),
+			})
+		}
+	}
+	if len(points) == 0 {
+		return nil, fmt.Errorf("experiments: figure 11 has no points")
+	}
+	return points, nil
 }
 
 // Figure11Result reproduces Fig 11 (with the Fig 12 summary columns the
@@ -271,11 +259,11 @@ type Figure11Result struct {
 
 // Figure11 sweeps core counts for the ASP.NET subset.
 func Figure11(ctx context.Context, l *Lab) (*Figure11Result, error) {
-	s, err := l.aspNetScaling(ctx)
+	points, err := l.aspNetScaling(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &Figure11Result{Points: s.Points, Sweep: s.Sweep}, nil
+	return &Figure11Result{Points: points, Sweep: l.Cfg.CoreSweep}, nil
 }
 
 // MeanAt aggregates backend-bound and L3-bound shares at one core count.
@@ -361,11 +349,11 @@ type Figure12Result struct {
 
 // Figure12 derives the L3-bound view from the shared scaling sweep.
 func Figure12(ctx context.Context, l *Lab) (*Figure12Result, error) {
-	s, err := l.aspNetScaling(ctx)
+	points, err := l.aspNetScaling(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &Figure12Result{Points: s.Points, Sweep: s.Sweep}, nil
+	return &Figure12Result{Points: points, Sweep: l.Cfg.CoreSweep}, nil
 }
 
 // MeanAt aggregates the L3-bound share and per-core LLC MPKI at one core

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strconv"
 
+	"repro/internal/clr"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -303,7 +304,15 @@ func (r *reader) measurement(p workload.Profile, m *machine.Config) (core.Measur
 		}
 		msg := string(r.b[:n])
 		r.b = r.b[n:]
-		return core.Measurement{Workload: p, Err: errors.New(msg)}, true
+		err := errors.New(msg)
+		// Callers match the simulator's sentinels with errors.Is (Fig 14
+		// records them as FAILED cells), so a read returns them as such.
+		for _, sentinel := range []error{clr.ErrOutOfMemory, clr.ErrServerGCReserve} {
+			if msg == sentinel.Error() {
+				err = sentinel
+			}
+		}
+		return core.Measurement{Workload: p, Err: err}, true
 	case kindCounters:
 		var c sim.Counters
 		if !readWords(r, &c, counterWords) {

@@ -28,8 +28,11 @@
 // sim.Counters (topdown.Slots inlined) as 8-byte words in declaration
 // order, a sample count and the fields of each sim.Sample the same way.
 // Floats are stored as their IEEE 754 bits, ints as int64. An error
-// record is the byte 2, a message length and the message. Put writes
-// these bytes directly and Get checks them directly; neither runs
+// record is the byte 2, a message length and the message; a read returns
+// a message that is exactly the text of one of the simulator's sentinel
+// errors (clr.ErrOutOfMemory, clr.ErrServerGCReserve) as that error, so
+// errors.Is matches a stored failure as it matches a fresh one. Put
+// writes these bytes directly and Get checks them directly; neither runs
 // encoding/json.
 //
 // The key is the SHA-256 of one JSON envelope,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/clr"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/machine"
@@ -120,6 +122,94 @@ func TestPutGetRoundTrip(t *testing.T) {
 	// The rendered measure artifact must be byte-identical too.
 	if !bytes.Equal(render(t, got), render(t, ms)) {
 		t.Fatal("cached measurements render a different measure artifact")
+	}
+}
+
+// TestStoredSentinelErrors: two real failed runs, an OutOfMemory and a
+// server-GC reservation failure, round-trip through Put and a Get on a
+// new Store handle with errors.Is still matching the simulator's
+// sentinel, as Fig 14 requires of a cell it records as FAILED. Any other
+// message, a wrapped sentinel's included, reads back as a plain error
+// with the same text.
+func TestStoredSentinelErrors(t *testing.T) {
+	m := machine.CoreI9()
+	p, ok := builtin("dotnet").Lookup("System.Collections")
+	if !ok {
+		t.Fatal("dotnet has no System.Collections")
+	}
+	// The live set plus its nursery headroom exceeds the 200 MiB cap.
+	oom := p
+	oom.WorkingSetBytes = 190 << 20
+	// 16 cores' 16 MiB segments exceed the cap, and the live set is
+	// above an eighth of it.
+	reserve := p
+	reserve.WorkingSetBytes = 64 << 20
+	cases := []struct {
+		name string
+		p    workload.Profile
+		opts sim.Options
+		want error
+	}{
+		{"oom", oom, sim.Options{Instructions: 3000, MaxHeapBytes: 200 << 20}, clr.ErrOutOfMemory},
+		{"server-reserve", reserve, sim.Options{Instructions: 3000, GCMode: clr.Server, Cores: 16,
+			MaxHeapBytes: 200 << 20}, clr.ErrServerGCReserve},
+	}
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		ps := []workload.Profile{c.p}
+		ms, err := core.MeasureSuite(context.Background(), nil, ps, m, c.opts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !errors.Is(ms[0].Err, c.want) {
+			t.Fatalf("%s: the run failed with %v, want %v", c.name, ms[0].Err, c.want)
+		}
+		s.Put(ps, m, c.opts, ms)
+	}
+	plain := []error{
+		errors.New("clr: some other failure"),
+		fmt.Errorf("run: %w", clr.ErrOutOfMemory),
+		errors.New(clr.ErrServerGCReserve.Error() + " "),
+	}
+	ps := make([]workload.Profile, len(plain))
+	ms := make([]core.Measurement, len(plain))
+	for i, err := range plain {
+		ps[i] = p
+		ms[i] = core.Measurement{Workload: p, Err: err}
+	}
+	plainOpts := sim.Options{Instructions: 3000}
+	s.Put(ps, m, plainOpts, ms)
+
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		got, ok := s.Get([]workload.Profile{c.p}, m, c.opts)
+		if !ok {
+			t.Fatalf("%s: the stored failure missed", c.name)
+		}
+		if !errors.Is(got[0].Err, c.want) || got[0].Err.Error() != c.want.Error() {
+			t.Errorf("%s: read back %v, want %v", c.name, got[0].Err, c.want)
+		}
+	}
+	got, ok := s.Get(ps, m, plainOpts)
+	if !ok {
+		t.Fatal("the stored plain errors missed")
+	}
+	for i, err := range plain {
+		if got[i].Err == nil || got[i].Err.Error() != err.Error() {
+			t.Fatalf("plain error %d read back as %v, want %q", i, got[i].Err, err)
+		}
+		for _, sentinel := range []error{clr.ErrOutOfMemory, clr.ErrServerGCReserve} {
+			if errors.Is(got[i].Err, sentinel) {
+				t.Errorf("plain error %q read back as the sentinel %v", err, sentinel)
+			}
+		}
 	}
 }
 

@@ -23,28 +23,43 @@ type reuseStep struct {
 // three Table II machines, private L3 and shared LLC with the core count
 // growing and shrinking, native and managed code, both replacement
 // policies, warmup on and off, sampling, every HWAssist flag, the
-// no-compaction ablation and a heap set-up failure in the middle.
+// no-compaction ablation, the configurations the drivers measure
+// (server GC at both ends of Fig 14's heap sweep, Fig 13's JIT study,
+// the extensions' cold starts, heavy allocation compression) and both
+// heap set-up failures in the middle.
 func reuseSequence(t *testing.T) []reuseStep {
 	t.Helper()
 	runtimeP := mustByName(t, "dotnet", "System.Runtime")
 	json := mustByName(t, "aspnet", "Json")
 	mcf := mustByName(t, "spec", "mcf")
-	oom := mustByName(t, "dotnet", "System.Collections")
+	collections := mustByName(t, "dotnet", "System.Collections")
+	oom := collections
 	oom.WorkingSetBytes = 190 << 20
+	// Server GC's 16 MiB segments on 16 cores exceed a 200 MiB cap, and
+	// the live set is above an eighth of it.
+	reserve := collections
+	reserve.WorkingSetBytes = 64 << 20
 	i9, xeon, arm := machine.CoreI9(), machine.XeonE5(), machine.Arm()
 	const n = 3000
 	return []reuseStep{
 		{"managed", runtimeP, i9, Options{Instructions: n}},
+		{"server-200", runtimeP, i9, Options{Instructions: n, GCMode: clr.Server, MaxHeapBytes: 200 << 20, AllocScale: 4000}},
 		{"aspnet-4-hashed", json, i9, Options{Instructions: n, Cores: 4,
 			Assist: HWAssist{HashedSlicePlacement: true}}},
+		{"jit-study", json, i9, Options{Instructions: n, Cores: 4, MaxHeapBytes: 20000 << 20, SampleInterval: 500,
+			TierUpCalls: 50, PrecompiledFrac: 0.9}},
 		{"aspnet-1", json, i9, Options{Instructions: n, Cores: 1}},
 		{"native-nowarmup", mcf, i9, Options{Instructions: n, DisableWarmup: true}},
+		{"cold-start", json, i9, Options{Instructions: n, Cores: 2, PrecompiledFrac: -1, DisableWarmup: true, TierUpCalls: 2}},
 		{"aspnet-8-sampled", json, i9, Options{Instructions: n, Cores: 8, SampleInterval: 1500}},
+		{"server-reserve", reserve, i9, Options{Instructions: n, GCMode: clr.Server, Cores: 16, MaxHeapBytes: 200 << 20}},
 		{"managed-2-assists", runtimeP, i9, Options{Instructions: n, Cores: 2, Assist: HWAssist{
 			JITCodePrefetch: true, PredictorTransform: true, GCOffload: true, HugePageCode: true}}},
 		{"oom", oom, i9, Options{Instructions: n, MaxHeapBytes: 200 << 20}},
+		{"alloc-3000", collections, i9, Options{Instructions: n, MaxHeapBytes: 200 << 20, AllocScale: 3000}},
 		{"managed-random", runtimeP, i9, Options{Instructions: n, Policy: 1}},
 		{"managed-nocompaction", runtimeP, i9, Options{Instructions: n, DisableCompaction: true, AllocScale: 4000}},
+		{"server-20000", runtimeP, i9, Options{Instructions: n, GCMode: clr.Server, MaxHeapBytes: 20000 << 20, AllocScale: 4000}},
 		{"xeon-aspnet", json, xeon, Options{Instructions: n}},
 		{"arm-managed", runtimeP, arm, Options{Instructions: n}},
 		{"arm-native", mcf, arm, Options{Instructions: n}},
@@ -72,6 +87,9 @@ func TestRunnerMatchesFreshRun(t *testing.T) {
 		}
 		if s.name == "oom" && !errors.Is(gerr, clr.ErrOutOfMemory) {
 			t.Fatalf("oom step returned %v", gerr)
+		}
+		if s.name == "server-reserve" && !errors.Is(gerr, clr.ErrServerGCReserve) {
+			t.Fatalf("server-reserve step returned %v", gerr)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: runner result differs from a fresh run", s.name)

@@ -58,7 +58,11 @@
 #                pass stored (reads re-derive every measurement from its
 #                counters, so a drift in the last digit fails here); then
 #                the same drivers as -format json validated by
-#                charnet-check artifact, again from the warm store
+#                charnet-check artifact, again from the warm store; every
+#                driver simulates through the store, so the warm text pass
+#                and the JSON pass each log their counters (-events-out,
+#                whose self-profile goes to a file, shown on failure) and
+#                fail on a nonzero sim.instructions
 #   spec smoke   every examples/*.json workload spec loaded by charnet
 #                -suite-spec F suites (a spec that does not parse exits
 #                1), then charnet -suite-spec examples/spec2017mem.json
@@ -181,16 +185,29 @@ echo "== render smoke (-full all cold and warm vs docs/full_output.txt, then -fo
 renderdir="$workdir/render"
 mkdir -p "$renderdir"
 go build -o "$renderdir/charnet" ./cmd/charnet
+# simulated reports a nonzero sim.instructions counter in an -events-out log.
+simulated() { grep -q '"name":"sim.instructions","value":[1-9]' "$1"; }
 for pass in cold warm; do
-    "$renderdir/charnet" -full -cache "$renderdir/mstore" all > "$renderdir/full-$pass.txt"
+    "$renderdir/charnet" -full -cache "$renderdir/mstore" -events-out "$renderdir/events-$pass.jsonl" \
+        all > "$renderdir/full-$pass.txt" 2> "$renderdir/stderr-$pass.txt" || {
+        cat "$renderdir/stderr-$pass.txt" >&2; exit 1; }
     if ! cmp -s "$renderdir/full-$pass.txt" docs/full_output.txt; then
         echo "charnet -full all ($pass store) diverged from docs/full_output.txt:" >&2
         diff docs/full_output.txt "$renderdir/full-$pass.txt" | head -40 >&2 || true
         exit 1
     fi
 done
-"$renderdir/charnet" -full -cache "$renderdir/mstore" -format json all > "$renderdir/full.json"
+"$renderdir/charnet" -full -cache "$renderdir/mstore" -events-out "$renderdir/events-json.jsonl" \
+    -format json all > "$renderdir/full.json" 2> "$renderdir/stderr-json.txt" || {
+    cat "$renderdir/stderr-json.txt" >&2; exit 1; }
 "$check" artifact "$renderdir/full.json"
+for pass in warm json; do
+    if simulated "$renderdir/events-$pass.jsonl"; then
+        echo "charnet -full all ($pass pass) simulated over a warm store:" >&2
+        grep '"name":"sim.instructions"' "$renderdir/events-$pass.jsonl" >&2
+        exit 1
+    fi
+done
 
 echo "== spec smoke (charnet -suite-spec examples/*.json suites, then -suite-spec through table4)"
 specdir="$workdir/spec"
