@@ -2,6 +2,7 @@ package clr
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -71,18 +72,29 @@ type JIT struct {
 // NewJIT builds the method table. Method sizes vary around the mean so
 // that code-page boundaries fall irregularly, seeded deterministically.
 func NewJIT(cfg JITConfig, log *EventLog, r *rng.Rand) (*JIT, error) {
+	j := new(JIT)
+	if err := j.Reset(cfg, log, r); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+// Reset makes j the JIT that NewJIT(cfg, log, r) builds, drawing the same
+// numbers from r, and keeps j's method table storage when it is large
+// enough. A configuration NewJIT rejects leaves j unchanged.
+func (j *JIT) Reset(cfg JITConfig, log *EventLog, r *rng.Rand) error {
 	if cfg.MethodCount <= 0 {
-		return nil, fmt.Errorf("clr: method count %d", cfg.MethodCount)
+		return fmt.Errorf("clr: method count %d", cfg.MethodCount)
 	}
 	if cfg.CodeBytes < cfg.MethodCount*16 {
-		return nil, fmt.Errorf("clr: code footprint %d too small for %d methods", cfg.CodeBytes, cfg.MethodCount)
+		return fmt.Errorf("clr: code footprint %d too small for %d methods", cfg.CodeBytes, cfg.MethodCount)
 	}
 	if cfg.CompileCostPerByte <= 0 {
 		cfg.CompileCostPerByte = 50
 	}
-	j := &JIT{
+	*j = JIT{
 		cfg:      cfg,
-		methods:  make([]Method, cfg.MethodCount),
+		methods:  slices.Grow(j.methods[:0], cfg.MethodCount)[:cfg.MethodCount],
 		codeBase: 0x0000_7fff_0000_0000, // JIT code region
 		log:      log,
 	}
@@ -95,7 +107,7 @@ func NewJIT(cfg JITConfig, log *EventLog, r *rng.Rand) (*JIT, error) {
 		}
 		j.methods[i] = Method{ID: i, Size: size}
 	}
-	return j, nil
+	return nil
 }
 
 // MethodCount returns the number of methods.

@@ -14,7 +14,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/machine"
@@ -57,17 +56,19 @@ type MeasurementCache interface {
 // measurements immediately, a miss measures and stores. A nil cache
 // degrades to plain measurement.
 //
-// Cancellation is checked at the per-workload boundary: the feeder stops
-// handing out jobs and idle workers skip any job already in hand, so a
-// cancelled context returns (nil, ctx.Err()) within one workload's sim
-// time. Partial results are discarded rather than handed to callers that
-// expect a complete suite, and nothing is written to the cache, so a
-// cancelled measurement can never land a torn entry.
+// Cancellation is checked at the per-workload boundary: each worker
+// checks the context before it claims the next workload from a shared
+// counter, so a cancelled context returns (nil, ctx.Err()) within one
+// workload's sim time. Partial results are discarded rather than handed
+// to callers that expect a complete suite, and nothing is written to the
+// cache, so a cancelled measurement can never land a torn entry.
 //
 // When opts.Obs carries a suite-measurement span, every workload gets a
-// "sim" child span on its worker's lane and the pool reports utilization
-// (summed busy time over workers x wall time) as the "pool.utilization"
-// gauge. None of this instrumentation affects the measurements.
+// "sim" child span on its worker's lane, "pool.queue.wait" records each
+// workload's wait from the pool's start (when the whole batch is ready)
+// until a worker claims it, and the pool reports utilization (summed busy
+// time over workers x wall time) as the "pool.utilization" gauge. None of
+// this instrumentation affects the measurements.
 func MeasureSuite(ctx context.Context, cache MeasurementCache, ps []workload.Profile, m *machine.Config, opts sim.Options, workers int) ([]Measurement, error) {
 	if cache != nil {
 		if ms, ok := cache.Get(ps, m, opts); ok {
@@ -88,18 +89,8 @@ func MeasureSuite(ctx context.Context, cache MeasurementCache, ps []workload.Pro
 	tr := suite.Trace()
 	poolStart := tr.Now() // zero (and unused) when tracing is disabled
 	done := ctx.Done()
-	var busy atomic.Int64
+	var claimed, busy atomic.Int64
 	var wg sync.WaitGroup
-	// A job carries its enqueue time so the receiving worker can report
-	// how long it sat waiting for a free worker ("pool.queue.wait"). The
-	// channel is unbuffered, so the wait spans the feeder offering the
-	// index until a worker picks it up. enq stays the zero time when
-	// tracing is disabled.
-	type job struct {
-		idx int
-		enq time.Time
-	}
-	jobs := make(chan job)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(lane int) {
@@ -107,22 +98,24 @@ func MeasureSuite(ctx context.Context, cache MeasurementCache, ps []workload.Pro
 			// One engine per worker for this suite only: each workload
 			// resets it in place rather than building a machine.
 			var runner sim.Runner
-			for j := range jobs {
-				if tr != nil {
-					tr.Observe("pool.queue.wait", tr.Now().Sub(j.enq))
-				}
+			for {
 				select {
 				case <-done:
-					// Cancelled with a job already handed over: drop it
-					// unsimulated so the pool drains promptly.
-					continue
+					return
 				default:
 				}
-				p := ps[j.idx]
+				i := int(claimed.Add(1) - 1)
+				if i >= len(ps) {
+					return
+				}
+				if tr != nil {
+					tr.Observe("pool.queue.wait", tr.Now().Sub(poolStart))
+				}
+				p := ps[i]
 				o := opts
 				wspan := suite.ChildLane(lane, "sim", p.Name)
 				o.Obs = wspan
-				out[j.idx] = measureOne(&runner, p, m, o)
+				out[i] = measureOne(&runner, p, m, o)
 				wspan.End()
 				if tr != nil {
 					busy.Add(int64(wspan.Duration()))
@@ -131,15 +124,6 @@ func MeasureSuite(ctx context.Context, cache MeasurementCache, ps []workload.Pro
 			}
 		}(w + 1)
 	}
-feed:
-	for i := range ps {
-		select {
-		case jobs <- job{idx: i, enq: tr.Now()}:
-		case <-done:
-			break feed
-		}
-	}
-	close(jobs)
 	wg.Wait()
 	if tr != nil {
 		tr.Gauge("pool.workers", float64(workers))

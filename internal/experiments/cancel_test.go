@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -18,15 +19,24 @@ import (
 // contract: the call returns promptly with the context error, nothing is
 // written to the persistent store (no torn entries), and a subsequent
 // uncancelled run on the same lab re-measures and produces exactly the
-// measurements an undisturbed lab produces.
+// measurements an undisturbed lab produces. It runs on one worker and on
+// two that claim workloads from one counter, both of which must stop.
 func TestMeasureCancelMidFlight(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			measureCancelMidFlight(t, workers)
+		})
+	}
+}
+
+func measureCancelMidFlight(t *testing.T, workers int) {
 	store, err := mstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Quick()
 	cfg.Instructions = 60000 // long enough that cancellation lands mid-suite
-	cfg.Workers = 1          // serialize the pool so the cancel cannot race the drain
+	cfg.Workers = workers
 	lab := NewLab(cfg)
 	tr := obs.New()
 	lab.Obs = tr

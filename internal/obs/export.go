@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // WriteChromeTrace writes the run as Chrome trace-event JSON, loadable in
@@ -195,11 +196,18 @@ func (t *Trace) WriteSelfProfile(w io.Writer) error {
 	}
 	root.total = total
 
-	var b strings.Builder
-	fmt.Fprintf(&b, "self-profile (wall %s)\n", total.Round(time.Millisecond))
-	fmt.Fprintf(&b, "%-44s %12s %7s %8s\n", "phase", "wall", "share", "count")
-	var render func(n *profNode, depth int)
-	render = func(n *profNode, depth int) {
+	// The phase column fits the longest indented label, so labels that
+	// share a long prefix (a driver batch's key starts with its study and
+	// machine) stay distinct rows.
+	type row struct {
+		name  string
+		node  *profNode
+		share float64
+	}
+	var rows []row
+	width := 44
+	var collect func(n *profNode, depth int)
+	collect = func(n *profNode, depth int) {
 		for _, label := range n.order {
 			c := n.children[label]
 			share := 0.0
@@ -207,15 +215,20 @@ func (t *Trace) WriteSelfProfile(w io.Writer) error {
 				share = float64(c.total) / float64(n.total) * 100
 			}
 			name := strings.Repeat("  ", depth) + c.label
-			if len(name) > 44 {
-				name = name[:41] + "..."
-			}
-			fmt.Fprintf(&b, "%-44s %12s %6.1f%% %8d\n",
-				name, c.total.Round(time.Microsecond), share, c.count)
-			render(c, depth+1)
+			width = max(width, utf8.RuneCountInString(name))
+			rows = append(rows, row{name, c, share})
+			collect(c, depth+1)
 		}
 	}
-	render(root, 0)
+	collect(root, 0)
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "self-profile (wall %s)\n", total.Round(time.Millisecond))
+	fmt.Fprintf(&b, "%-*s %12s %7s %8s\n", width, "phase", "wall", "share", "count")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-*s %12s %6.1f%% %8d\n",
+			width, r.name, r.node.total.Round(time.Microsecond), r.share, r.node.count)
+	}
 	if len(counters) > 0 {
 		fmt.Fprintf(&b, "counters:\n")
 		for _, name := range sortedKeys(counters) {

@@ -185,6 +185,42 @@ func TestExportersDeterministic(t *testing.T) {
 	}
 }
 
+// TestSelfProfileKeepsLongLabels renders two measure spans whose labels
+// share their first 60 characters, as two driver batches on one machine
+// do: each must be its own row holding its whole label.
+func TestSelfProfileKeepsLongLabels(t *testing.T) {
+	tr := New(WithClock(newFakeClock(time.Millisecond)))
+	prefix := "fig14/dotnet/Intel Core i9-9980XE/System.Collections,System.IO"
+	if len(prefix) < 60 {
+		t.Fatalf("prefix %q is shorter than 60 characters", prefix)
+	}
+	d := tr.Span("driver", "fig14")
+	labels := []string{prefix + "/heap=200", prefix + "/heap=20000"}
+	for _, detail := range labels {
+		s := tr.Span("measure", detail)
+		s.End()
+	}
+	d.End()
+	var b strings.Builder
+	if err := tr.WriteSelfProfile(&b); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]int{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == "measure" {
+			rows[strings.Join(f[1:len(f)-3], " ")]++
+		}
+	}
+	for _, detail := range labels {
+		if rows[detail] != 1 {
+			t.Errorf("want one row labelled %q, got %d:\n%s", detail, rows[detail], b.String())
+		}
+	}
+	if len(rows) != len(labels) {
+		t.Errorf("want %d measure rows, got %v:\n%s", len(labels), rows, b.String())
+	}
+}
+
 func TestSelfProfile(t *testing.T) {
 	tr := sampleTrace()
 	var b strings.Builder

@@ -11,6 +11,7 @@ package rng
 
 import (
 	"math"
+	"runtime"
 	"slices"
 )
 
@@ -217,25 +218,86 @@ func (r *Rand) Geometric(p float64) int {
 // empty: call Init before Next. Next only reads the table, so one Zipf can
 // serve any number of generators.
 type Zipf struct {
-	cdf []float64
+	cdf  []float64
+	logs []float64 // math.Log(i+1) for each rank i, kept while n stays
 }
 
+// portablePow reports whether math.Pow is the portable Go routine whose
+// steps Init repeats; s390x replaces it with an assembly one.
+const portablePow = runtime.GOARCH != "s390x"
+
 // Init makes z the distribution over [0, n) with exponent s >= 0, reusing
-// z's table storage; s == 0 degenerates to uniform.
+// z's table storage; s == 0 degenerates to uniform. Each term is
+// 1/math.Pow(i+1, s) to the bit.
 func (z *Zipf) Init(n int, s float64) {
 	if n <= 0 {
 		panic("rng: Zipf.Init called with n <= 0")
 	}
 	cdf := slices.Grow(z.cdf[:0], n)[:n]
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
+	z.cdf = cdf
+	//charnet:ignore floateq math.Pow returns Sqrt for exactly this exponent, so only it leaves the general path
+	if !portablePow || !(s > 0 && s < 1<<63) || s == 0.5 {
+		// Zero, negative, NaN, infinite and huge exponents, and the
+		// square root: math.Pow does not take its general path.
+		sum := 0.0
+		for i := range cdf {
+			sum += 1 / math.Pow(float64(i+1), s)
+			cdf[i] = sum
+		}
+		normalize(cdf, sum)
+		return
+	}
+	if len(z.logs) != n {
+		z.logs = slices.Grow(z.logs[:0], n)[:n]
+		for i := range z.logs {
+			z.logs[i] = math.Log(float64(i + 1))
+		}
+	}
+	// math.Pow's general path for x = i+1 > 1 and y = s > 0, with its
+	// Log(x) read from the table: split s, raise x to the fraction
+	// through Exp and to the integer part by squaring the mantissa, then
+	// scale by the accumulated power of two. Pow(1, s) is 1.
+	si, sf := math.Modf(s)
+	if sf > 0.5 {
+		sf--
+		si++
+	}
+	yi := int64(si)
+	cdf[0] = 1
+	sum := 1.0
+	for i := 1; i < n; i++ {
+		a1, ae := 1.0, 0
+		if sf != 0 {
+			a1 = math.Exp(sf * z.logs[i])
+		}
+		x1, xe := math.Frexp(float64(i + 1))
+		for k := yi; k != 0; k >>= 1 {
+			if xe < -1<<12 || 1<<12 < xe {
+				ae += xe
+				break
+			}
+			if k&1 == 1 {
+				a1 *= x1
+				ae += xe
+			}
+			x1 *= x1
+			xe <<= 1
+			if x1 < .5 {
+				x1 += x1
+				xe--
+			}
+		}
+		sum += 1 / math.Ldexp(a1, ae)
 		cdf[i] = sum
 	}
+	normalize(cdf, sum)
+}
+
+// normalize divides each cumulative weight by the total.
+func normalize(cdf []float64, sum float64) {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	z.cdf = cdf
 }
 
 // Next draws the next Zipf-distributed value from r.

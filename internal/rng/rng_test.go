@@ -283,6 +283,85 @@ func TestZipfUniformDegenerate(t *testing.T) {
 	}
 }
 
+// zipfPowRef is the cumulative table Zipf.Init must build: each term
+// 1/math.Pow(i+1, s), summed in rank order, then normalized.
+func zipfPowRef(n int, s float64) []float64 {
+	cdf := make([]float64, n)
+	sum := 0.0
+	for i := range cdf {
+		sum += 1 / math.Pow(float64(i+1), s)
+		cdf[i] = sum
+	}
+	for i := range cdf {
+		cdf[i] /= sum
+	}
+	return cdf
+}
+
+// checkZipfMatchesPow re-initializes z to (n, s) and requires every CDF
+// entry to have the reference's exact bits.
+func checkZipfMatchesPow(t *testing.T, z *Zipf, n int, s float64) {
+	t.Helper()
+	z.Init(n, s)
+	want := zipfPowRef(n, s)
+	if len(z.cdf) != n {
+		t.Fatalf("n=%d s=%v: table has %d entries", n, s, len(z.cdf))
+	}
+	for i := range want {
+		if math.Float64bits(z.cdf[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("n=%d s=%v (%#x): cdf[%d] = %v, math.Pow gives %v",
+				n, s, math.Float64bits(s), i, z.cdf[i], want[i])
+		}
+	}
+}
+
+// TestZipfInitMatchesPow pins Init's table to the math.Pow loop bit for
+// bit: on math.Pow's special exponents, on both neighbours of the ones
+// where its path changes, on exponents large enough to underflow the
+// terms (on both sides of 2^63, where math.Pow leaves its general path),
+// and on a seeded sweep of [0, 3]. It runs at the engine's n = 512 and at
+// smaller n on the same Zipf, growing n as well as shrinking it, so a
+// change of n must rebuild the cached logarithms.
+func TestZipfInitMatchesPow(t *testing.T) {
+	exps := []float64{0, 0.5, 1, 1.5, 2, 100.7, 1e6, 0x1p62, 0x1p63, math.Inf(1), math.NaN()}
+	for _, s := range []float64{0.5, 1, 1.5} {
+		exps = append(exps, math.Nextafter(s, 0), math.Nextafter(s, 4))
+	}
+	var z Zipf
+	for _, n := range []int{1, 37, 512, 2, 511, 512} {
+		for _, s := range exps {
+			checkZipfMatchesPow(t, &z, n, s)
+		}
+	}
+	r := New(25)
+	for i := 0; i < 10000; i++ {
+		checkZipfMatchesPow(t, &z, 512, 3*r.Float64())
+	}
+}
+
+// FuzzZipfInit checks Init against the math.Pow loop for any exponent in
+// [0, 8] and any n in [1, 4096], on a Zipf first built at the engine's
+// n = 512.
+func FuzzZipfInit(f *testing.F) {
+	f.Add(uint16(512), 0.5)
+	f.Add(uint16(511), math.Nextafter(1, 2))
+	f.Add(uint16(100), 1.5)
+	f.Add(uint16(0), 0.0)
+	f.Add(uint16(4095), 7.999)
+	f.Fuzz(func(t *testing.T, n uint16, s float64) {
+		s = math.Abs(s)
+		if s > 8 {
+			s = math.Mod(s, 8)
+		}
+		if math.IsNaN(s) {
+			t.Skip("no exponent")
+		}
+		var z Zipf
+		checkZipfMatchesPow(t, &z, 512, s)
+		checkZipfMatchesPow(t, &z, int(n%4096)+1, s)
+	})
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	prop := func(seed uint64, n uint8) bool {
 		size := int(n%64) + 1
@@ -361,4 +440,16 @@ func FuzzHitMatchesBool(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, p float64) {
 		checkHitMatchesBool(t, seed, p)
 	})
+}
+
+// BenchmarkZipfInit rebuilds the engine's 512-entry table on a warmed
+// Zipf, as every simulated run does twice.
+func BenchmarkZipfInit(b *testing.B) {
+	var z Zipf
+	z.Init(512, 1.2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Init(512, 1.2)
+	}
 }

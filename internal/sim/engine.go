@@ -275,7 +275,8 @@ func (e *engine) setup(rn *Runner) error {
 	e.hitResidualPF = rng.P(e.allocRate / pageBytes / 2)
 
 	if e.p.Managed {
-		e.log = &clr.EventLog{}
+		rn.log.Reset()
+		e.log = &rn.log
 		tierUp := e.opts.TierUpCalls
 		if tierUp == 0 {
 			tierUp = 400
@@ -288,24 +289,23 @@ func (e *engine) setup(rn *Runner) error {
 		// across measurement runs (SeedSalt must not perturb it, or
 		// run-to-run variance would be inflated far beyond §III-A's <5%).
 		r := rng.NewFrom(e.p.Seed(), rng.HashString(e.m.Name), 1)
-		jit, err := clr.NewJIT(clr.JITConfig{
+		if err := rn.jit.Reset(clr.JITConfig{
 			MethodCount:        e.p.MethodCount,
 			CodeBytes:          e.effFootprint,
 			TierUpCalls:        tierUp,
 			RelocationEnabled:  !e.opts.DisableRelocation,
 			CompileCostPerByte: 3,
 			PageAlign:          e.m.StackFriction > 2,
-		}, e.log, r)
-		if err != nil {
+		}, e.log, r); err != nil {
 			return err
 		}
-		e.jit = jit
+		e.jit = &rn.jit
 		pre := e.opts.PrecompiledFrac
 		if pre == 0 {
 			pre = 0.995
 		}
 		if pre > 0 {
-			jit.Precompile(pre, r)
+			e.jit.Precompile(pre, r)
 		}
 		heap, err := clr.NewHeap(clr.HeapConfig{
 			Mode:              e.opts.GCMode,

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"repro/internal/branch"
+	"repro/internal/clr"
 	"repro/internal/dram"
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -14,12 +15,13 @@ import (
 
 // Runner executes simulations one after another on one set of machine
 // structures: each core's caches, TLBs and predictor, the private or
-// shared LLC, the DRAM controller and the machine's kernel code layout.
-// Every Run resets them in place instead of building new ones. A cache
-// reset is O(1) (mem.Cache.Reset) and the prewarm is only recorded, each
-// set replaying its share when first touched, so a run pays for the state
-// it uses rather than for the size of the machine. Results are identical
-// to Run's.
+// shared LLC, the DRAM controller and the machine's kernel code layout,
+// and for managed workloads the JIT's method table and the runtime event
+// log. Every Run resets them in place instead of building new ones. A
+// cache reset is O(1) (mem.Cache.Reset) and the prewarm is only recorded,
+// each set replaying its share when first touched, so a run pays for the
+// state it uses rather than for the size of the machine. Results are
+// identical to Run's.
 //
 // The zero value is ready to use. A Runner is not safe for concurrent use;
 // give each goroutine its own, and drop it with the batch of runs it
@@ -37,6 +39,8 @@ type Runner struct {
 	kernelSizes []int
 
 	// Scratch that setup and prewarm rewrite on every run.
+	jit          clr.JIT
+	log          clr.EventLog
 	dzipf, mzipf rng.Zipf
 	nativeAddrs  []uint64
 	nativeSizes  []int

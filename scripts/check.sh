@@ -28,7 +28,8 @@
 #                changes its verdict between calls, a JSON artifact
 #                rendering that departs from the encoding/json reference,
 #                a store key, streamed and memoized, that departs from
-#                the hash of the json.Marshal key envelope,
+#                the hash of the json.Marshal key envelope, a Zipf table
+#                whose bits depart from the math.Pow loop it replaces,
 #                or a measure request rejected with a status other than
 #                400 or 413, or accepted naming something no catalog
 #                holds, fails here;
@@ -123,7 +124,7 @@ go test -run=NONE -bench=. -benchtime=1x ./... > /dev/null
 echo "== fuzz budget (5 s per native fuzz target)"
 for target in internal/mem:FuzzCacheAccess internal/mem:FuzzTLBLookup \
     internal/mem:FuzzResetPrewarm internal/cluster:FuzzAgglomerate \
-    internal/rng:FuzzHitMatchesBool internal/mstore:FuzzGet \
+    internal/rng:FuzzHitMatchesBool internal/rng:FuzzZipfInit internal/mstore:FuzzGet \
     internal/mstore:FuzzKey internal/artifact:FuzzWriteJSON internal/workload:FuzzParseSpec \
     internal/telemetry:FuzzCheckExposition internal/serve:FuzzMeasureRequest; do
     go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 5s -fuzzminimizetime 1s "./${target%%:*}"
