@@ -2,14 +2,13 @@ package artifact
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestCheckJSONAcceptsRendererOutput: whatever WriteJSON emits for a
-// representative artifact must validate cleanly — the checker and the
-// renderer describe the same schema.
-func TestCheckJSONAcceptsRendererOutput(t *testing.T) {
+// demoArtifact is a representative artifact with one payload of each kind.
+func demoArtifact() *Artifact {
 	a := &Artifact{Name: "demo", Title: "a demo artifact", Paper: "test"}
 	a.Add(
 		&Table{
@@ -27,8 +26,15 @@ func TestCheckJSONAcceptsRendererOutput(t *testing.T) {
 		&Tree{Name: "d", Root: &TreeNode{Label: "leaf"}},
 		NoteLine("n", "a prose line"),
 	)
+	return a
+}
+
+// TestCheckJSONAcceptsRendererOutput: whatever WriteJSON emits for a
+// representative artifact must validate cleanly — the checker and the
+// renderer describe the same schema.
+func TestCheckJSONAcceptsRendererOutput(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, []*Artifact{a}); err != nil {
+	if err := WriteJSON(&buf, []*Artifact{demoArtifact()}); err != nil {
 		t.Fatal(err)
 	}
 	arts, payloads, problems := CheckJSON(&buf)
@@ -40,24 +46,27 @@ func TestCheckJSONAcceptsRendererOutput(t *testing.T) {
 	}
 }
 
+// badArtifacts are documents CheckJSON must reject, one per malformation
+// class, each with a substring some problem must contain.
+var badArtifacts = []struct {
+	name string
+	doc  string
+	want string
+}{
+	{"not an array", `{"name":"x"}`, "not a JSON artifact array"},
+	{"empty array", `[]`, "empty artifact array"},
+	{"trailing data", `[{"name":"a","title":"t","payloads":[{"kind":"note","data":{"name":"n","lines":["x"]}}]}] []`, "trailing data"},
+	{"empty artifact name", `[{"name":"","title":"t","payloads":[{"kind":"note","data":{"name":"n","lines":["x"]}}]}]`, "empty name"},
+	{"unknown kind", `[{"name":"a","title":"t","payloads":[{"kind":"blob","data":{}}]}]`, "unknown kind"},
+	{"ragged table", `[{"name":"a","title":"t","payloads":[{"kind":"table","data":{"name":"tb","columns":[{"name":"c"}],"rows":[["x","y"]]}}]}]`, "cells for"},
+	{"nan string leak", `[{"name":"a","title":"t","payloads":[{"kind":"table","data":{"name":"tb","columns":[{"name":"c"}],"rows":[["NaN"]]}}]}]`, "non-finite"},
+	{"rootless tree", `[{"name":"a","title":"t","payloads":[{"kind":"tree","data":{"name":"tr","root":null}}]}]`, "no root"},
+	{"duplicate payloads", `[{"name":"a","title":"t","payloads":[{"kind":"note","data":{"name":"n","lines":["x"]}},{"kind":"note","data":{"name":"n","lines":["y"]}}]}]`, "duplicate payload"},
+}
+
 // TestCheckJSONRejects: each malformation class is reported.
 func TestCheckJSONRejects(t *testing.T) {
-	cases := []struct {
-		name string
-		doc  string
-		want string // substring of some problem
-	}{
-		{"not an array", `{"name":"x"}`, "not a JSON artifact array"},
-		{"empty array", `[]`, "empty artifact array"},
-		{"trailing data", `[{"name":"a","title":"t","payloads":[{"kind":"note","data":{"name":"n","lines":["x"]}}]}] []`, "trailing data"},
-		{"empty artifact name", `[{"name":"","title":"t","payloads":[{"kind":"note","data":{"name":"n","lines":["x"]}}]}]`, "empty name"},
-		{"unknown kind", `[{"name":"a","title":"t","payloads":[{"kind":"blob","data":{}}]}]`, "unknown kind"},
-		{"ragged table", `[{"name":"a","title":"t","payloads":[{"kind":"table","data":{"name":"tb","columns":[{"name":"c"}],"rows":[["x","y"]]}}]}]`, "cells for"},
-		{"nan string leak", `[{"name":"a","title":"t","payloads":[{"kind":"table","data":{"name":"tb","columns":[{"name":"c"}],"rows":[["NaN"]]}}]}]`, "non-finite"},
-		{"rootless tree", `[{"name":"a","title":"t","payloads":[{"kind":"tree","data":{"name":"tr","root":null}}]}]`, "no root"},
-		{"duplicate payloads", `[{"name":"a","title":"t","payloads":[{"kind":"note","data":{"name":"n","lines":["x"]}},{"kind":"note","data":{"name":"n","lines":["y"]}}]}]`, "duplicate payload"},
-	}
-	for _, tc := range cases {
+	for _, tc := range badArtifacts {
 		t.Run(tc.name, func(t *testing.T) {
 			_, _, problems := CheckJSON(strings.NewReader(tc.doc))
 			found := false
@@ -71,4 +80,28 @@ func TestCheckJSONRejects(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzCheckJSON: the checker never panics on any input, gives the same
+// counts and problems twice, and counts at least one artifact, and at
+// least one payload per artifact, in every document it accepts.
+func FuzzCheckJSON(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, []*Artifact{demoArtifact()}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for _, tc := range badArtifacts {
+		f.Add([]byte(tc.doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a1, n1, p1 := CheckJSON(bytes.NewReader(data))
+		a2, n2, p2 := CheckJSON(bytes.NewReader(data))
+		if a1 != a2 || n1 != n2 || !slices.Equal(p1, p2) {
+			t.Fatalf("verdict changed between calls: %d/%d %q, then %d/%d %q", a1, n1, p1, a2, n2, p2)
+		}
+		if len(p1) == 0 && (a1 < 1 || n1 < a1) {
+			t.Fatalf("accepted a document with %d artifacts and %d payloads", a1, n1)
+		}
+	})
 }

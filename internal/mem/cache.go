@@ -33,12 +33,11 @@ const (
 //
 // Each set's MRU way shares a word with the set's generation stamp, so a
 // cache can be emptied in O(1) (Reset) and a prewarm batch on an empty
-// cache can be recorded rather than swept: a set from an older generation
+// cache can be recorded rather than inserted: a set from an older generation
 // is stale, and is emptied and handed its share of the recorded batch the
 // first time anything touches it. A run then pays only for the sets it
 // uses.
 type Cache struct {
-	name     string
 	sets     int
 	ways     int
 	lineBits uint
@@ -109,7 +108,6 @@ func NewCache(name string, g machine.CacheGeom, policy ReplacementPolicy) *Cache
 	// Generation 1 over zeroed stamps: every set starts stale, which for
 	// a new cache only means empty.
 	return &Cache{
-		name:     name,
 		sets:     sets,
 		ways:     g.Ways,
 		lineBits: lineBits,
@@ -157,9 +155,6 @@ func (c *Cache) materialize(set uint64) uint32 {
 	c.stamp[set] = st
 	return st
 }
-
-// Name returns the cache's label.
-func (c *Cache) Name() string { return c.name }
 
 // Access looks up addr, filling on miss. It returns true on hit.
 func (c *Cache) Access(addr uint64) bool {
@@ -215,9 +210,9 @@ func (c *Cache) Probe(addr uint64) bool {
 }
 
 // Insert fills addr without counting an access: used by the prefetcher
-// model to install lines ahead of demand, and by the prewarm pass, whose
-// bulk line installs make this the hottest setup loop in the tree — the
-// presence scan and victim selection share one pass over the set.
+// model to install lines ahead of demand, and by InsertRanges on a cache
+// it cannot record on. The presence scan and victim selection share one
+// pass over the set.
 func (c *Cache) Insert(addr uint64) {
 	c.clock++
 	line := addr >> c.lineBits
@@ -269,48 +264,33 @@ func (c *Cache) Insert(addr uint64) {
 }
 
 // InsertRange installs every line of [start, end) in ascending address
-// order, with state, statistics and clock evolution identical to
-//
-//	for a := start; a < end; a += lineSize { c.Insert(a) }
-//
-// but an order of magnitude faster for large ranges: the loop above
-// revisits each set once per wrap of the set space, streaming the whole
-// tag/timestamp array through the cache hierarchy on every wrap, while
-// the bulk path processes each set exactly once with its ways held hot.
+// order, as InsertRanges does for a batch of one range.
 func (c *Cache) InsertRange(start, end uint64) {
 	c.InsertRanges([][2]uint64{{start, end}})
 }
 
-// InsertRanges installs a batch of byte ranges, equivalent to calling
-// InsertRange on each in order but processed set-major: every set is
-// snapshotted once for the whole batch and the victim-queue state carries
-// across ranges. The prewarm pass batches all of a cache's ranges through
-// this, turning ranges×sets set visits into one visit per set.
+// InsertRanges installs a batch of byte ranges, in order, with state,
+// statistics and clock evolution identical to
 //
-// On a cache with clock 0 — new or just Reset — the batch is only
-// recorded: every set is stale, and replays its share of the batch when
-// first touched. Every tag write advances the clock, so at clock 0 nothing
-// has been filled in this generation and no batch is recorded yet. This is
-// the production prewarm case; its cost follows the sets a run goes on to
-// use rather than the size of the cache.
+//	for _, r := range ranges { for a := r[0]; a < r[1]; a += lineSize { c.Insert(a) } }
+//
+// On an LRU cache of at most maxBulkWays ways with clock 0 — new or just
+// Reset — the batch is only recorded: every set is stale, and replays its
+// share of the batch when first touched (see replay). Every tag write
+// advances the clock, so at clock 0 nothing has been filled in this
+// generation and no batch is recorded yet. This is the production prewarm
+// case; its cost follows the sets a run goes on to use rather than the
+// size of the cache. Any other cache runs the per-line loop above.
 func (c *Cache) InsertRanges(ranges [][2]uint64) {
-	if c.policy != LRU || c.ways > maxBulkWays {
+	if c.clock != 0 || c.policy != LRU || c.ways > maxBulkWays {
 		for _, r := range ranges {
-			if r[1] > r[0] {
-				c.insertRangeSlow(r[0], r[1])
-			}
+			c.insertRangeSlow(r[0], r[1])
 		}
 		return
 	}
-	record := c.clock == 0
 	jobs := c.batch[:0] // empty at clock 0, so its storage is free
-	if !record {
-		// The recorded batch must outlive this one: stale sets still
-		// replay it.
-		jobs = make([]insertJob, 0, len(ranges))
-	}
 	sets := uint64(c.sets)
-	clock := c.clock
+	var clock uint64
 	for _, r := range ranges {
 		if r[1] <= r[0] {
 			continue
@@ -335,19 +315,13 @@ func (c *Cache) InsertRanges(ranges [][2]uint64) {
 		jobs = append(jobs, j)
 		clock += n
 	}
-	if len(jobs) == 0 {
-		return
-	}
-	if record {
-		c.batch = jobs
-		c.clock = clock
-		return
-	}
-	c.runInsertJobs(jobs, clock)
+	c.batch = jobs
+	c.clock = clock
 }
 
-// insertRangeSlow is the per-line fallback for policies and geometries the
-// bulk path does not model.
+// insertRangeSlow is the per-line reference loop: the path of a cache that
+// has been touched since its last Reset, of the Random policy and of
+// associativities the recorded batch does not model.
 func (c *Cache) insertRangeSlow(start, end uint64) {
 	lineSize := uint64(1) << c.lineBits
 	for a := start; a < end; a += lineSize {
@@ -355,8 +329,8 @@ func (c *Cache) insertRangeSlow(start, end uint64) {
 	}
 }
 
-// maxBulkWays bounds the associativity the bulk insert path supports; wider
-// caches use the per-line fallback.
+// maxBulkWays bounds the associativity the recorded batch supports; wider
+// caches use the per-line loop.
 const maxBulkWays = 32
 
 // insertJob is one range of an InsertRanges batch, in line coordinates.
@@ -369,176 +343,15 @@ type insertJob struct {
 	overlaps    bool   // line bounds intersect an earlier job in the batch
 }
 
-// runInsertJobs executes a batch of insert jobs on a cache that has been
-// touched (clock > 0), with state, statistics and clock evolution
-// identical to the per-line Insert loops in batch order.
-//
-// Each set is handled independently (Insert never couples distinct sets)
-// and visited once for the whole batch; a stale set is materialized first.
-// Within a set, victims are fully determined: empty ways in way order,
-// then pre-existing entries oldest-first, then the batch's own fills in
-// FIFO rotation. Because every pop is immediately followed by a fill of
-// the same way, the rotation phase revisits the ways in exactly the order
-// of the first `ways` pops — so the whole victim stream is one fixed
-// sequence sigma (empties in way order, then pre-entries by age) cycled
-// forever, and pop p is sigma[p mod ways] with no FIFO bookkeeping at all. That state
-// carries from job to job: it is exactly what a fresh per-job snapshot
-// would rebuild, since remaining empties stay in way order and surviving
-// fills' timestamp order equals fill order. Presence-hits (skips that
-// touch nothing, not even timestamps) can only come from pre-existing
-// entries inside the job's line bounds or from earlier overlapping jobs in
-// the batch; only then are residency checks paid.
-func (c *Cache) runInsertJobs(jobs []insertJob, endClock uint64) {
-	sets := uint64(c.sets)
-	ways := c.ways
-	// A single job only touches cnt consecutive sets; a batch sweeps all.
-	sweepStart, sweepCnt := uint64(0), sets
-	if len(jobs) == 1 {
-		sweepStart, sweepCnt = jobs[0].startSet, jobs[0].cnt
-	}
-	// Scratch hoisted out of the sweep; every cell read is written first in
-	// the same set iteration.
-	var order [maxBulkWays]int32 // sigma: empties, then (merged) pre by age
-	var preWay [maxBulkWays]int32
-	var preTS [maxBulkWays]uint64
-	var preLine [maxBulkWays]uint64
-	var wayJ [maxBulkWays]int32 // way -> pending in-bounds position, mask mode
-	for si := uint64(0); si < sweepCnt; si++ {
-		s := (sweepStart + si) & c.setMask
-		base := int(s) * ways
-		snapped, merged := false, false
-		var e0, nPre, popIdx, pops int
-		lastFill := int32(-1)
-		for ji := range jobs {
-			j := &jobs[ji]
-			k := (s - j.startSet) & c.setMask
-			if k >= j.cnt {
-				continue
-			}
-			m := j.mFull // inserts landing in this set
-			if k < j.mRem {
-				m++
-			}
-			if !snapped {
-				snapped = true
-				if c.stamp[s] < c.live {
-					c.materialize(s)
-				}
-				for w := 0; w < ways; w++ {
-					t := c.tags[base+w]
-					if t == 0 {
-						order[e0] = int32(w)
-						e0++
-						continue
-					}
-					preWay[nPre] = int32(w)
-					preTS[nPre] = c.ts[base+w]
-					preLine[nPre] = t >> 1
-					nPre++
-				}
-			}
-			// Residency checks are needed iff a currently-resident line can
-			// fall inside this job's bounds. Surviving pre-entries are the
-			// un-popped suffix; preLine is scanned unsorted while no pop has
-			// reached the pre queue (then the suffix is the whole array).
-			check := j.overlaps
-			if !check {
-				vp := pops - e0
-				if vp < 0 {
-					vp = 0
-				}
-				for p := vp; p < nPre; p++ {
-					if preLine[p] >= j.first && preLine[p] <= j.last {
-						check = true
-						break
-					}
-				}
-			}
-			// This set's sub-sequence of the job: lines lineBase + t*sets,
-			// t in [0, m), insert index within the job idx = k + t*sets.
-			lineBase := j.first + k
-			if !check {
-				// Clean job: every insert fills. While pops stay below e0
-				// the victims are the empties, fill-order untouched; after
-				// that sigma cycles.
-				idx := k
-				line := lineBase
-				for t := uint64(0); t < m; t++ {
-					if pops >= e0 {
-						if !merged {
-							merged = true
-							mergePre(&order, &preWay, &preTS, &preLine, e0, nPre)
-						}
-						if popIdx == ways {
-							popIdx = 0
-						}
-					}
-					w := order[popIdx]
-					popIdx++
-					pops++
-					i := base + int(w)
-					c.tags[i] = line<<1 | 1
-					c.ts[i] = j.clockBase + idx + 1
-					lastFill = w
-					idx += sets
-					line += sets
-				}
-				continue
-			}
-			useMask := m <= 64
-			var mask uint64
-			if useMask {
-				// Which of the m lines are resident right now. Residents in
-				// bounds are necessarily on this sub-sequence (their set is
-				// determined by the line), so a bounds check suffices and
-				// the position falls out of a shift.
-				mask = c.residentMask(base, j, lineBase, &wayJ)
-			}
-			idx := k
-			line := lineBase
-			for t := uint64(0); t < m; t++ {
-				if !c.present(base, useMask, mask, t, line) {
-					if pops >= e0 {
-						if !merged {
-							merged = true
-							mergePre(&order, &preWay, &preTS, &preLine, e0, nPre)
-						}
-						if popIdx == ways {
-							popIdx = 0
-						}
-					}
-					w := order[popIdx]
-					popIdx++
-					pops++
-					if useMask {
-						// Evicting a not-yet-reached resident line makes its
-						// turn a real re-fill.
-						mask = evictPending(mask, &wayJ, w)
-					}
-					i := base + int(w)
-					c.tags[i] = line<<1 | 1
-					c.ts[i] = j.clockBase + idx + 1
-					lastFill = w
-				}
-				idx += sets
-				line += sets
-			}
-		}
-		if lastFill >= 0 {
-			c.stamp[s] = c.live | uint32(lastFill)
-		}
-	}
-	c.clock = endClock
-}
-
 // replay fills the just-emptied set s at base with its share of the
-// recorded batch and returns the last way filled, or -1. With every way
-// empty, sigma is the way order itself, so there is no snapshot, no
-// timestamp merge and no pre-entry residency scan: the victim of the
-// set's p-th pop is way p mod ways, and a fill past the first `ways` pops
-// overwrites a prior fill, exactly as the per-line path would. Presence
-// checks remain only for jobs overlapping an earlier job of the batch
-// (nursery re-warms).
+// recorded batch and returns the last way filled, or -1. Insert never
+// couples distinct sets, so a set can take its share alone. With every way
+// empty, the per-line path's victims are fixed: the empty ways in way
+// order, then the batch's own fills oldest first, which is way order
+// again. So the victim of the set's p-th fill is way p mod ways, and a
+// fill past the first `ways` overwrites an earlier one, exactly as the
+// per-line path would. Presence checks remain only for jobs overlapping an
+// earlier job of the batch (nursery re-warms).
 func (c *Cache) replay(s uint64, base int) int32 {
 	sets := uint64(c.sets)
 	ways := c.ways
@@ -647,25 +460,6 @@ func evictPending(mask uint64, wayJ *[maxBulkWays]int32, w int32) uint64 {
 	}
 	wayJ[w] = -1
 	return mask
-}
-
-// mergePre completes sigma: the pre-existing entries are sorted by
-// timestamp (= eviction order) and appended after the empties in order.
-// Deferred until a pop actually reaches the pre queue: prewarm mostly fills
-// fresh sets, where it never runs.
-func mergePre(order, way *[maxBulkWays]int32, ts *[maxBulkWays]uint64, line *[maxBulkWays]uint64, e0, n int) {
-	for i := 1; i < n; i++ {
-		pw, pt, pl := way[i], ts[i], line[i]
-		q := i - 1
-		for q >= 0 && ts[q] > pt {
-			way[q+1], ts[q+1], line[q+1] = way[q], ts[q], line[q]
-			q--
-		}
-		way[q+1], ts[q+1], line[q+1] = pw, pt, pl
-	}
-	for i := 0; i < n; i++ {
-		order[e0+i] = way[i]
-	}
 }
 
 // fill selects a victim way for word in the set at base, installs it, and

@@ -107,7 +107,7 @@ func TestReset(t *testing.T) {
 	c := NewCache("t", smallGeom(), LRU)
 	c.InsertRange(0x1000, 0x2000) // recorded: the cache is new
 	c.Access(0x100)
-	c.InsertRange(0x3000, 0x4000) // swept
+	c.InsertRange(0x3000, 0x4000) // line by line: the cache is touched
 	c.ResetStats()
 	if c.Stats != (CacheStats{}) || !c.Probe(0x3fc0) {
 		t.Fatalf("ResetStats: stats %+v, contents kept %v", c.Stats, c.Probe(0x3fc0))

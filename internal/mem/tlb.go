@@ -42,14 +42,6 @@ type TLBStats struct {
 	SecondLevelHits uint64
 }
 
-// MissRate returns walk-causing misses per lookup.
-func (s TLBStats) MissRate() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Lookups)
-}
-
 // NewTLB builds a TLB from geometry; Ways == 0 means fully associative.
 // The optional next TLB is consulted on a first-level miss.
 func NewTLB(name string, g machine.TLBGeom, next *TLB) *TLB {
@@ -83,9 +75,6 @@ func NewTLB(name string, g machine.TLBGeom, next *TLB) *TLB {
 		next:     next,
 	}
 }
-
-// Name returns the TLB's label.
-func (t *TLB) Name() string { return t.name }
 
 // Lookup translates addr, returning true when the first level hits.
 // On a first-level miss the second level is consulted; only a miss in both
@@ -193,19 +182,27 @@ func (t *TLB) pages(start, end uint64) pageRun {
 }
 
 // insertRuns installs the pages of runs, in order, with exactly the state
-// transitions of one insert call per page, processed set-major.
+// transitions of one insert call per page. A TLB touched since its last
+// Reset (clock > 0) runs that loop.
 //
-// Inserts never check presence (duplicate translations are allowed, as in
-// the per-page path), so every insert fills, and the victim sequence of a
-// set is fixed by its state before the batch: empty ways in way order,
-// then the valid entries oldest-first, then — because each fill's
-// timestamp exceeds all earlier ones — the same sequence again. The j-th
-// of a set's m fills lands in sequence position j mod ways, so only its
-// last min(m, ways) fills survive, and only those are written; an empty
-// set's sequence is its way order and needs no snapshot. Insert i of the
-// batch gets ts clock+i+1, and consecutive VPNs round-robin sets, so set
-// s takes the pages v0+k of a run with k ≡ s-v0 (mod sets).
+// At clock 0 — new or just Reset — every set is empty. Inserts never
+// check presence (duplicate translations are allowed, as in the per-page
+// path), so every insert fills, and an empty set's victims are its ways in
+// way order, then — because each fill's timestamp exceeds all earlier
+// ones — the same order again. The j-th of a set's m fills lands in way
+// j mod ways, so only its last min(m, ways) fills survive, and only those
+// are written. Insert i of the batch gets ts i+1, and consecutive VPNs
+// round-robin sets, so set s takes the pages v0+k of a run with
+// k ≡ s-v0 (mod sets).
 func (t *TLB) insertRuns(runs []pageRun) {
+	if t.clock != 0 {
+		for _, r := range runs {
+			for k := uint64(0); k < r.n; k++ {
+				t.insert(r.v0 + k)
+			}
+		}
+		return
+	}
 	var total uint64
 	for _, r := range runs {
 		total += r.n
@@ -222,9 +219,7 @@ func (t *TLB) insertRuns(runs []pageRun) {
 		}
 		return c
 	}
-	ways := t.ways
-	var buf [maxBulkWays]int32
-	var order []int32 // victim sequence of a set that holds entries
+	ways := uint64(t.ways)
 	for s := uint64(0); s <= t.setMask; s++ {
 		var m uint64
 		for _, r := range runs {
@@ -233,35 +228,13 @@ func (t *TLB) insertRuns(runs []pageRun) {
 		if m == 0 {
 			continue
 		}
-		base := int(s) * ways
-		empty := true
-		for w := 0; w < ways; w++ {
-			if t.tags[base+w] != 0 {
-				empty = false
-				break
-			}
-		}
-		if !empty {
-			if order == nil {
-				order = buf[:]
-				if ways > len(buf) {
-					order = make([]int32, ways)
-				}
-			}
-			t.victimOrder(base, order[:ways])
-		}
-		// Write the survivors, last fill first: fill m-1 takes sequence
-		// position (m-1) mod ways and becomes MRU, each earlier fill takes
-		// the position before.
-		way := func(pos int) int32 {
-			if empty {
-				return int32(pos)
-			}
-			return order[pos]
-		}
-		pos := int((m - 1) % uint64(ways))
-		t.mru[s] = way(pos)
-		left := min(m, uint64(ways))
+		base := int(s) * t.ways
+		// Write the survivors, last fill first: fill m-1 takes way
+		// (m-1) mod ways and becomes MRU, each earlier fill takes the way
+		// before.
+		w := int((m - 1) % ways)
+		t.mru[s] = int32(w)
+		left := min(m, ways)
 		end := total // batch index one past the current run
 		for ri := len(runs) - 1; left > 0; ri-- {
 			r := runs[ri]
@@ -272,46 +245,18 @@ func (t *TLB) insertRuns(runs []pageRun) {
 			}
 			k := (s-r.v0)&t.setMask + (c-1)<<setBits // the run's last page in s
 			for ; c > 0 && left > 0; c-- {
-				w := way(pos)
-				t.tags[base+int(w)] = (r.v0+k)<<1 | 1
-				t.ts[base+int(w)] = t.clock + end + k + 1
+				t.tags[base+w] = (r.v0+k)<<1 | 1
+				t.ts[base+w] = end + k + 1
 				k -= uint64(t.sets)
 				left--
-				if pos == 0 {
-					pos = ways
+				if w == 0 {
+					w = t.ways
 				}
-				pos--
+				w--
 			}
 		}
 	}
-	t.clock += total
-}
-
-// victimOrder writes the victim sequence of the set at base into order:
-// its empty ways in way order, then its valid ways oldest first (valid
-// timestamps are distinct, so this is fillSet's choice at each step).
-func (t *TLB) victimOrder(base int, order []int32) {
-	e := 0
-	for w := range order {
-		if t.tags[base+w] == 0 {
-			order[e] = int32(w)
-			e++
-		}
-	}
-	n := e
-	for w := range order {
-		if t.tags[base+w] == 0 {
-			continue
-		}
-		ts := t.ts[base+w]
-		q := n
-		for q > e && t.ts[base+int(order[q-1])] > ts {
-			order[q] = order[q-1]
-			q--
-		}
-		order[q] = int32(w)
-		n++
-	}
+	t.clock = total
 }
 
 // Flush invalidates all entries of this level, modeling address-space
@@ -329,14 +274,6 @@ func (t *TLB) Reset() {
 	clear(t.tags)
 	t.clock = 0
 	t.Stats = TLBStats{}
-}
-
-// ResetStats zeroes the counters (second level included).
-func (t *TLB) ResetStats() {
-	t.Stats = TLBStats{}
-	if t.next != nil {
-		t.next.Stats = TLBStats{}
-	}
 }
 
 // TLBSet groups a core's translation structures.
@@ -370,7 +307,9 @@ func NewTLBSet(cfg *machine.Config) *TLBSet {
 // the state of Warm called on the range's first level at Start,
 // Start+pageSize, ... below End: each first level takes its own ranges and
 // the STLB takes every page of both sides, interleaved in range order.
-// Each TLB handles its share as one batch (see insertRuns).
+// Each TLB handles its share as one batch: written survivors-only when the
+// TLB is untouched since its Reset, one insert per page otherwise (see
+// insertRuns).
 func (s *TLBSet) WarmRanges(ranges []TLBRange) {
 	i, d, all := s.iRuns[:0], s.dRuns[:0], s.sRuns[:0]
 	for _, r := range ranges {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/machine"
-	"repro/internal/testutil"
 )
 
 func tinyTLB() machine.TLBGeom {
@@ -33,7 +32,6 @@ func TestTLBLRUCapacity(t *testing.T) {
 		tlb.Lookup(p * 4096)
 	}
 	// All four resident.
-	tlb.ResetStats()
 	for p := uint64(0); p < 4; p++ {
 		if !tlb.Lookup(p * 4096) {
 			t.Fatalf("page %d should be resident", p)
@@ -118,13 +116,6 @@ func TestTLBSetAssociative(t *testing.T) {
 	if !tlb.Lookup(8 * 4096) {
 		t.Fatal("page 8 should be resident")
 	}
-}
-
-func TestTLBMissRate(t *testing.T) {
-	var s TLBStats
-	testutil.InDelta(t, "idle TLB miss rate", s.MissRate(), 0, 0)
-	s = TLBStats{Lookups: 10, Misses: 5}
-	testutil.InDelta(t, "TLB miss rate", s.MissRate(), 0.5, 1e-12)
 }
 
 func TestTLBPanicsOnBadGeometry(t *testing.T) {

@@ -170,51 +170,24 @@ func (s *SharedLLC) Insert(addr uint64) {
 	s.Slices[s.SliceFor(addr)].Insert(s.sliceLocal(addr))
 }
 
-// InsertRange prewarm-fills every line of [start, end), equivalent to
-// calling Insert per line. Under interleaved placement, consecutive global
-// lines round-robin the slices and compact to consecutive slice-local
-// lines, so the range decomposes into one contiguous slice-local range per
-// slice — each slice has its own clock, making the per-slice bulk insert
-// exactly equivalent. Hashed placement scatters lines, so it falls back to
-// the per-line path.
-func (s *SharedLLC) InsertRange(start, end uint64) {
-	if end <= start {
-		return
-	}
-	lineSize := uint64(1) << s.lineBits
-	if s.hashed {
-		for a := start; a < end; a += lineSize {
-			s.Insert(a)
-		}
-		return
-	}
-	firstLine := start >> s.lineBits
-	n := (end - start + lineSize - 1) >> s.lineBits
-	slices := uint64(len(s.Slices))
-	for k := uint64(0); k < slices && k < n; k++ {
-		line := firstLine + k
-		idx := int(line & s.sliceMask)
-		// Lines for this slice: line, line+slices, ... — their slice-local
-		// line ids are consecutive starting at line>>sliceBits.
-		count := (n - k + slices - 1) / slices
-		localStart := (line >> s.sliceBits) << s.lineBits
-		s.Slices[idx].InsertRange(localStart, localStart+count*lineSize)
-	}
-}
-
 // InsertRanges prewarm-fills a batch of ranges, equivalent to calling
-// InsertRange on each in order. The global ranges are decomposed into one
-// slice-local range per slice (as in InsertRange) and each slice executes
-// its whole batch in one set-major pass; per-slice order equals batch order
-// and slices share no state, so the decomposition is exact.
+// Insert on every line of each range in order. Hashed placement scatters
+// lines, so it takes that per-line loop. Under interleaved placement,
+// consecutive global lines round-robin the slices and compact to
+// consecutive slice-local lines, so each range decomposes into one
+// contiguous slice-local range per slice, and each slice takes its whole
+// batch in one mem.Cache.InsertRanges call; per-slice order equals batch
+// order and slices share no state, so the decomposition is exact.
 func (s *SharedLLC) InsertRanges(ranges [][2]uint64) {
+	lineSize := uint64(1) << s.lineBits
 	if s.hashed {
 		for _, r := range ranges {
-			s.InsertRange(r[0], r[1])
+			for a := r[0]; a < r[1]; a += lineSize {
+				s.Insert(a)
+			}
 		}
 		return
 	}
-	lineSize := uint64(1) << s.lineBits
 	slices := uint64(len(s.Slices))
 	local := make([][2]uint64, 0, len(ranges))
 	for idx := range s.Slices {
@@ -225,6 +198,8 @@ func (s *SharedLLC) InsertRanges(ranges [][2]uint64) {
 			}
 			firstLine := r[0] >> s.lineBits
 			n := (r[1] - r[0] + lineSize - 1) >> s.lineBits
+			// Lines for this slice: firstLine+k, +slices, ... — their
+			// slice-local line ids are consecutive.
 			k := (uint64(idx) - firstLine) & s.sliceMask
 			if k >= n {
 				continue

@@ -160,9 +160,11 @@ func TestBadSliceCountPanics(t *testing.T) {
 	New(cfg, mem.LRU)
 }
 
-// TestInsertRangeMatchesInsertLoop checks the bulk prewarm path against the
-// per-line Insert loop under both placement modes: identical per-slice
-// contents (probed) and identical subsequent access behavior.
+// TestInsertRangeMatchesInsertLoop checks single-range prewarm calls — one
+// InsertRanges call per range, so every call after the first finds its
+// slices touched and inserts line by line — against the per-line Insert
+// loop under both placement modes: identical per-slice contents (probed)
+// and identical subsequent access behavior.
 func TestInsertRangeMatchesInsertLoop(t *testing.T) {
 	for _, hashed := range []bool{false, true} {
 		ref := New(machine.CoreI9(), mem.LRU)
@@ -175,7 +177,7 @@ func TestInsertRangeMatchesInsertLoop(t *testing.T) {
 			for a := rg[0]; a < rg[1]; a += 64 {
 				ref.Insert(a)
 			}
-			opt.InsertRange(rg[0], rg[1])
+			opt.InsertRanges([][2]uint64{rg})
 		}
 		for a := uint64(0x10000); a < 0xa0000; a += 64 {
 			if ref.Slices[ref.SliceFor(a)].Probe(ref.sliceLocal(a)) !=
@@ -197,9 +199,12 @@ func TestInsertRangeMatchesInsertLoop(t *testing.T) {
 	}
 }
 
-// TestInsertRangesMatchesInsertLoop checks the batched prewarm entry point —
-// including a duplicate range, as nursery re-warms produce — against per-line
-// Insert loops under both placement modes.
+// TestInsertRangesMatchesInsertLoop checks the batched prewarm entry point,
+// with the whole batch handed over in one call (recorded on the new slices),
+// against per-line Insert loops under both placement modes. The batch holds
+// unaligned ranges, an overlap and a duplicate, as nursery re-warms produce,
+// and an empty range. Per-slice contents must probe the same, and an
+// eviction-heavy access stream must make the same hit/miss decisions.
 func TestInsertRangesMatchesInsertLoop(t *testing.T) {
 	batch := [][2]uint64{
 		{0x10020, 0x90020},
@@ -219,6 +224,12 @@ func TestInsertRangesMatchesInsertLoop(t *testing.T) {
 			}
 		}
 		opt.InsertRanges(batch)
+		for a := uint64(0x10000); a < 0x300000; a += 64 {
+			if ref.Slices[ref.SliceFor(a)].Probe(ref.sliceLocal(a)) !=
+				opt.Slices[opt.SliceFor(a)].Probe(opt.sliceLocal(a)) {
+				t.Fatalf("hashed=%v: content divergence at %#x", hashed, a)
+			}
+		}
 		r := rng.New(13)
 		for i := 0; i < 50000; i++ {
 			a := uint64(r.Intn(0x300000)) &^ 63

@@ -63,14 +63,6 @@ func newHistogram(name string) *Histogram {
 	return h
 }
 
-// Name returns the histogram's registry name ("" on nil).
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
 // Observe records one value. Negative values clamp to zero (a histogram
 // of durations has no negative samples; a clock that steps backwards
 // under test should not corrupt bucket indexing).

@@ -186,9 +186,6 @@ func TestHistogramNilSafety(t *testing.T) {
 	}
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
-	if h.Name() != "" {
-		t.Fatal("nil histogram name should be empty")
-	}
 	s := h.Snapshot()
 	if s.Count != 0 || len(s.Buckets) != 0 {
 		t.Fatal("nil histogram snapshot should be empty")

@@ -158,18 +158,6 @@ func (r *Rand) NormFloat64() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// Exp returns an exponential variate with the given rate (mean 1/rate).
-func (r *Rand) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exp called with rate <= 0")
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / rate
-}
-
 // Geometric returns a geometric variate: the number of failures before the
 // first success with success probability p in (0, 1].
 func (r *Rand) Geometric(p float64) int {
@@ -288,17 +276,4 @@ func (z *Zipf) Next(r *Rand) int {
 		}
 	}
 	return lo
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

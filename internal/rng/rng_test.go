@@ -180,19 +180,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(11)
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.Exp(2.0)
-	}
-	mean := sum / n
-	if math.Abs(mean-0.5) > 0.02 {
-		t.Fatalf("Exp(2) sample mean %v, want ~0.5", mean)
-	}
-}
-
 func TestGeometricMean(t *testing.T) {
 	r := New(13)
 	p := 0.25
@@ -338,24 +325,6 @@ func FuzzZipfInit(f *testing.F) {
 		checkZipfMatchesPow(t, &z, 512, s)
 		checkZipfMatchesPow(t, &z, int(n%4096)+1, s)
 	})
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	prop := func(seed uint64, n uint8) bool {
-		size := int(n%64) + 1
-		p := New(seed).Perm(size)
-		seen := make([]bool, size)
-		for _, v := range p {
-			if v < 0 || v >= size || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // boolRef is Bool's definition: no draw for p <= 0 or p >= 1, else one

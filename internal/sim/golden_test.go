@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/workload"
 )
 
 // goldenRuns is a fixed set of runs covering native and managed code, the
@@ -105,6 +106,49 @@ func TestGoldenCounters(t *testing.T) {
 	for _, a := range goldenAssists {
 		if got[a[0]] == got[a[1]] {
 			t.Errorf("%s: same counters as %s", a[0], a[1])
+		}
+	}
+}
+
+// TestDRAMLatencyNeverLowersCPI is a metamorphic check on the timing
+// model: a slower DRAM must never make a workload faster. It runs the 24
+// Table IV subset workloads (the paper's .NET, ASP.NET and SPEC CPU17
+// picks, as experiments.TableIV*Subset lists them) on the Core i9 with
+// DRAMLat at 1x, 2x and 4x, and requires each workload's CPI to be
+// non-decreasing in the multiplier.
+func TestDRAMLatencyNeverLowersCPI(t *testing.T) {
+	subsets := []struct {
+		wire  string
+		names []string
+	}{
+		{"dotnet", []string{"System.Runtime", "System.Threading", "System.ComponentModel",
+			"System.Linq", "System.Net", "System.MathBenchmarks", "System.Diagnostics", "CscBench"}},
+		{"aspnet", []string{"DbFortunesRaw", "MvcDbFortunesRaw", "MvcDbMultiUpdateRaw", "Plaintext",
+			"Json", "CopyToAsync", "MvcJsonNetOutput2M", "MvcJsonNetInput2M"}},
+		{"spec", []string{"mcf", "cactuBSSN", "wrf", "gcc", "omnetpp", "perlbench", "xalancbmk", "bwaves"}},
+	}
+	var ps []workload.Profile
+	for _, s := range subsets {
+		for _, name := range s.names {
+			ps = append(ps, mustByName(t, s.wire, name))
+		}
+	}
+	var r Runner
+	prev := make([]float64, len(ps))
+	for _, mul := range []int{1, 2, 4} {
+		m := machine.CoreI9()
+		m.DRAMLat *= mul
+		for i, p := range ps {
+			res, err := r.Run(p, m, Options{Instructions: 6000})
+			if err != nil {
+				t.Fatalf("%s/%s at DRAMLat x%d: %v", p.Suite, p.Name, mul, err)
+			}
+			cpi := res.Counters.CPI()
+			if cpi < prev[i] {
+				t.Errorf("%s/%s: CPI %.6f at DRAMLat x%d, below %.6f at x%d",
+					p.Suite, p.Name, cpi, mul, prev[i], mul/2)
+			}
+			prev[i] = cpi
 		}
 	}
 }

@@ -9,12 +9,19 @@ import "repro/internal/mem"
 // on cold misses that real measurements amortized away long ago.
 //
 // Ranges are batched per cache and handed over with one InsertRanges call
-// each. Every cache has just been reset, so the call only records the
-// batch, and each set replays its share when the run first touches it.
-// A core's TLB ranges go to its TLBSet as one batch too. Batching only
-// reorders inserts across *distinct* caches and TLBs, which share no
+// each; a core's TLB ranges go to its TLBSet as one batch too. Batching
+// only reorders inserts across *distinct* caches and TLBs, which share no
 // state; each structure still sees its ranges in original order. The
 // range lists are rn's scratch.
+//
+// Every structure has just been reset, so a cache only records its batch
+// and each set replays its share when the run first touches it, and a TLB
+// writes only the entries that survive the batch. A structure touched
+// before this pass takes the per-line (per-page) loop instead, with the
+// same result: the JITCodePrefetch assist fills a core's L1I, L2 and
+// I-TLB in setup's first switchMethod. Under HashedSlicePlacement the
+// shared LLC inserts line by line, since hashing scatters a range's lines
+// across slices.
 func (e *engine) prewarm(rn *Runner) {
 	llc := rn.llc[:0]
 	addLLC := func(start, end uint64) {

@@ -7,13 +7,9 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"sort"
 )
-
-// ErrEmpty is returned by functions that require at least one sample.
-var ErrEmpty = errors.New("stats: empty input")
 
 // Mean returns the arithmetic mean of xs, or 0 for empty input.
 func Mean(xs []float64) float64 {
@@ -82,48 +78,6 @@ func GeoMean(xs []float64) float64 {
 		sum += math.Log(x)
 	}
 	return math.Exp(sum / float64(len(xs)))
-}
-
-// Min returns the minimum of xs. It panics on empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs. It panics on empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Median returns the median of xs without modifying the input.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
 }
 
 // Covariance returns the population covariance of xs and ys.
@@ -205,24 +159,6 @@ func Standardize(rows [][]float64) (out [][]float64, means, stds []float64) {
 		}
 	}
 	return out, means, stds
-}
-
-// Normalize scales xs so the values sum to 1; a zero-sum input is returned
-// unchanged. Useful for converting instruction-type counts to fractions.
-func Normalize(xs []float64) []float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	out := make([]float64, len(xs))
-	if sum == 0 {
-		copy(out, xs)
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / sum
-	}
-	return out
 }
 
 // ranks assigns average ranks to xs (ties share the mean of their ranks),

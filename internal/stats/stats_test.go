@@ -52,23 +52,6 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestMinMaxMedian(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5}
-	if Min(xs) != 1 || Max(xs) != 5 {
-		t.Fatal("Min/Max wrong")
-	}
-	if got := Median(xs); got != 3 {
-		t.Fatalf("Median = %v", got)
-	}
-	if got := Median([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Fatalf("even Median = %v", got)
-	}
-	// Median must not mutate its input.
-	if xs[0] != 3 || xs[4] != 5 {
-		t.Fatal("Median mutated input")
-	}
-}
-
 func TestPearsonPerfect(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{2, 4, 6, 8, 10}
@@ -186,17 +169,6 @@ func TestStandardizeProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{1, 3})
-	if !almost(out[0], 0.25, 1e-12) || !almost(out[1], 0.75, 1e-12) {
-		t.Fatalf("Normalize = %v", out)
-	}
-	zero := Normalize([]float64{0, 0})
-	if zero[0] != 0 || zero[1] != 0 {
-		t.Fatal("Normalize of zeros should return zeros")
 	}
 }
 

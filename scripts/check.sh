@@ -31,7 +31,10 @@
 #                the hash of the json.Marshal key envelope, a Zipf table
 #                whose bits depart from the math.Pow loop it replaces,
 #                a Chrome trace check that changes its verdict between
-#                calls or rejects the trace writer's own output, or a
+#                calls or rejects the trace writer's own output, a JSON
+#                artifact check that changes its counts or problems
+#                between calls or accepts a document with no artifact or
+#                with fewer payloads than artifacts, or a
 #                measure request rejected with a status other than 400
 #                or 413, or accepted naming something no catalog holds,
 #                fails here;
@@ -128,9 +131,9 @@ echo "== fuzz budget (5 s per native fuzz target)"
 for target in internal/mem:FuzzCacheAccess internal/mem:FuzzTLBLookup \
     internal/mem:FuzzResetPrewarm internal/cluster:FuzzAgglomerate \
     internal/rng:FuzzHitMatchesBool internal/rng:FuzzZipfInit internal/mstore:FuzzGet \
-    internal/mstore:FuzzKey internal/artifact:FuzzWriteJSON internal/workload:FuzzParseSpec \
-    internal/telemetry:FuzzCheckExposition internal/obs:FuzzCheckChromeTrace \
-    internal/serve:FuzzMeasureRequest; do
+    internal/mstore:FuzzKey internal/artifact:FuzzWriteJSON internal/artifact:FuzzCheckJSON \
+    internal/workload:FuzzParseSpec internal/telemetry:FuzzCheckExposition \
+    internal/obs:FuzzCheckChromeTrace internal/serve:FuzzMeasureRequest; do
     go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 5s -fuzzminimizetime 1s "./${target%%:*}"
 done
 
